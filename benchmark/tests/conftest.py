@@ -1,0 +1,7 @@
+"""Tests of the benchmark itself: `python3 -m pytest benchmark/tests`."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
