@@ -191,7 +191,7 @@ def cmd_ablate_limit(spec: ExperimentSpec, limits: list[int]) -> int:
     seeds = [spec.seed + t for t in range(spec.trials)]
     table = run_ablation(
         config, limits, seeds, spec.iterations,
-        noise=spec.noise, replan_limit=spec.replan_limit,
+        noise=spec.noise, replan_limit=spec.replan_limit, workers=spec.workers,
     )
     out = Path(spec.out)
     write_json(out / "manifest.json", {

@@ -228,11 +228,24 @@ class Transition:
         )
 
     def digest(self) -> str:
-        """Short content hash, used as a stable transition id."""
-        import hashlib
+        """Short content hash, used as a stable transition id.
 
-        blob = dumps_canonical(self.to_json()).encode()
-        return hashlib.sha1(blob).hexdigest()[:12]
+        Computed once per instance: the fields are frozen, so the hash is
+        stored beside them (outside equality, hashing and pickled state).
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            import hashlib
+
+            blob = dumps_canonical(self.to_json()).encode()
+            cached = hashlib.sha1(blob).hexdigest()[:12]
+            object.__setattr__(self, "_digest", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
 
 @dataclass(frozen=True)

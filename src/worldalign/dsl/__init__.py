@@ -17,6 +17,7 @@ from .ast import (
     SgContains,
     SgUnexplored,
     pretty_print,
+    uses_graphs,
 )
 from .evaluate import (
     EvalDiagnostics,
@@ -35,5 +36,5 @@ __all__ = [
     "Not", "ObsCmp", "Or", "ParseError", "Polarity", "RuleAst",
     "RuleTypeError", "RuleVerdict", "SgContains", "SgUnexplored", "evaluate",
     "evaluate_all", "missing_materials", "parse", "parse_many",
-    "pretty_print", "render_template",
+    "pretty_print", "render_template", "uses_graphs",
 ]

@@ -133,6 +133,24 @@ class RuleAst:
     suggestion_template: str = ""
 
 
+_GRAPH_ATOMS = (KgSatisfied, SgContains, SgUnexplored)
+
+
+def _reads_graphs(expr: Expr) -> bool:
+    if isinstance(expr, (And, Or)):
+        return any(_reads_graphs(p) for p in expr.parts)
+    if isinstance(expr, Not):
+        return _reads_graphs(expr.expr)
+    return isinstance(expr, _GRAPH_ATOMS)
+
+
+def uses_graphs(rule: RuleAst) -> bool:
+    """True when the rule's condition reads the knowledge or scene graph
+    (``kg_requires``, ``sg_contains`` or ``sg_unexplored``), so its verdicts
+    can change when a graph changes while the transition stays the same."""
+    return _reads_graphs(rule.condition)
+
+
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

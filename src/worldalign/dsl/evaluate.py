@@ -7,6 +7,7 @@ diagnostic counter instead of faulting.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,15 +43,15 @@ class RuleVerdict:
 
 @dataclass
 class EvalDiagnostics:
-    """Mutable counter bag owned by the caller."""
+    """Mutable counter bag owned by the caller.  Bounded by the number of
+    distinct rule ids, however long the run."""
 
     unresolvable: int = 0
-    notes: list[str] = field(default_factory=list)
+    unresolvable_by_rule: Counter[str] = field(default_factory=Counter)
 
 
 class _Unresolvable(Exception):
-    def __init__(self, note: str):
-        self.note = note
+    pass
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,10 @@ def evaluate(
     ctx = _Context(obs, action, kg, sg, tuple(tool_tiers))
     try:
         condition = _eval(rule.condition, ctx)
-    except _Unresolvable as exc:
+    except _Unresolvable:
         if diagnostics is not None:
             diagnostics.unresolvable += 1
-            diagnostics.notes.append(f"{rule.id}: {exc.note}")
+            diagnostics.unresolvable_by_rule[rule.id] += 1
         return RuleVerdict(activated=False, flag=True)
     if rule.polarity is Polarity.FAIL_IF:
         flag = not condition

@@ -262,9 +262,6 @@ class EffectiveTables:
     def hostiles(self) -> list[str]:
         return sorted(name for name, traits in self.survival.items() if traits.hostile)
 
-    def min_tier_index(self, tool: str | None) -> int:
-        return -1 if tool is None else self.tool_tiers.index(tool)
-
 
 def check_solvable(config: WorldConfig) -> None:
     """Verify every recipe ingredient is obtainable under the effective

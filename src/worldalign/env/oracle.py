@@ -7,7 +7,7 @@ backed by them simulates an ideal inductive reasoner.
 from __future__ import annotations
 
 from ..graphs import KgEdge
-from .config import MAKEABLE, PLACEABLE, WorldConfig
+from .config import WorldConfig
 
 
 def rules_for_config(config: WorldConfig) -> list[str]:
@@ -98,11 +98,3 @@ def kg_edges_for_config(config: WorldConfig) -> list[KgEdge]:
     for block in sorted(tables.mining):
         edges.append(KgEdge(tables.mining[block].drop, block, "collects", None))
     return edges
-
-
-def products_for_action(action_name: str) -> tuple[str, ...]:
-    if action_name == "make":
-        return MAKEABLE
-    if action_name == "place":
-        return PLACEABLE
-    return ()

@@ -6,7 +6,9 @@ and component stacks are rebuilt per episode from those seeds.
 """
 from __future__ import annotations
 
+import multiprocessing
 import statistics
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -301,6 +303,25 @@ def ablation_arms(limits: Sequence[int]) -> list[AblationArm]:
     return arms
 
 
+def _ablation_trial(
+    base_config: WorldConfig,
+    arm: AblationArm,
+    trial_seed: int,
+    iterations: int,
+    noise: float,
+    replan_limit: int,
+) -> tuple[float, float]:
+    """One (arm, seed) cell of the ablation: the final episode's reward and
+    score.  Top-level so a worker process can run it."""
+    build = standard_components(
+        rule_proposer_kind="noisy", noise=noise, limit=arm.limit,
+        prune=arm.prune, replan_limit=replan_limit, proposer_seed=trial_seed,
+    )
+    trial = run_learning_trial(base_config, trial_seed, iterations, build, target=None)
+    metrics = trial.final_metrics()
+    return metrics["reward"], metrics["score"]
+
+
 def run_ablation(
     base_config: WorldConfig,
     limits: Sequence[int],
@@ -309,27 +330,35 @@ def run_ablation(
     *,
     noise: float = 0.3,
     replan_limit: int = 3,
+    workers: int = 1,
 ) -> dict[str, dict]:
     """Table-4 style comparison: one full experiment per rule-limit arm plus
-    a no-pruning arm (validity drop and greedy selection both skipped)."""
+    a no-pruning arm (validity drop and greedy selection both skipped).
+
+    With `workers > 1` the (arm, seed) trials run in a process pool; each
+    trial is independent and deterministic, so the table is the same."""
     if not limits:
         raise ValueError("limits must be non-empty")
     if any(l < 1 for l in limits):
         raise ValueError("rule limits must be >= 1")
+    arms = ablation_arms(limits)
+    cells = [(arm, seed) for arm in arms for seed in seeds]
+    args = (iterations, noise, replan_limit)
+    if workers > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            futures = [
+                pool.submit(_ablation_trial, base_config, arm, seed, *args)
+                for arm, seed in cells
+            ]
+            results = [f.result() for f in futures]
+    else:
+        results = [_ablation_trial(base_config, arm, seed, *args) for arm, seed in cells]
     table: dict[str, dict] = {}
-    for arm in ablation_arms(limits):
-        rewards: list[float] = []
-        scores: list[float] = []
-        for trial_seed in seeds:
-            build = standard_components(
-                rule_proposer_kind="noisy", noise=noise, limit=arm.limit,
-                prune=arm.prune, replan_limit=replan_limit, proposer_seed=trial_seed,
-            )
-            trial = run_learning_trial(
-                base_config, trial_seed, iterations, build, target=None
-            )
-            rewards.append(trial.final_metrics()["reward"])
-            scores.append(trial.final_metrics()["score"])
+    for a, arm in enumerate(arms):
+        arm_results = results[a * len(seeds) : (a + 1) * len(seeds)]
+        rewards = [reward for reward, _ in arm_results]
+        scores = [score for _, score in arm_results]
         reward_mean, reward_std = mean_std(rewards)
         score_mean, score_std = mean_std(scores)
         table[arm.name] = {

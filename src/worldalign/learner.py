@@ -24,6 +24,7 @@ from .dsl import (
     evaluate,
     parse,
     pretty_print,
+    uses_graphs,
 )
 from .graphs import KnowledgeGraph, SceneGraph, kg_induce, kg_merge, sg_update
 
@@ -105,6 +106,58 @@ class LearnerConfig:
 
 
 @dataclass
+class ValidityWatermark:
+    """What the last validity check already proved, so the next one scans
+    only new work.
+
+    `upto[ast]` is the number of leading history transitions the rule is
+    known to assert no wrong bit on.  The key is the whole AST, so a rule
+    id reused for another text misses.  Those verdicts hold only for the
+    graphs and tool tiers they were computed under and for the history they
+    were computed on; `refresh` forgets whatever the current inputs no
+    longer vouch for.
+    """
+
+    upto: dict[RuleAst, int] = field(default_factory=dict)
+    graphs: tuple[KnowledgeGraph, SceneGraph] | None = None
+    tool_tiers: tuple[str, ...] | None = None
+    checked: int = 0  # history length at the last check
+    last: Transition | None = None  # history[checked - 1] at the last check
+
+    def refresh(
+        self,
+        history: Sequence[Transition],
+        kg: KnowledgeGraph,
+        sg: SceneGraph,
+        tool_tiers: Sequence[str],
+    ) -> dict[RuleAst, int]:
+        """Drop the entries the inputs invalidate and return the map.
+
+        Every entry goes when the tool tiers change or the history is not
+        an extension of the one last checked (its last checked transition is
+        no longer in place); only the graph-reading rules' entries go when
+        the graphs' content changed.  Graphs are compared by value, since
+        every update returns a new instance.
+        """
+        tool_tiers = tuple(tool_tiers)
+        n = self.checked
+        extended = len(history) >= n and (n == 0 or history[n - 1] is self.last)
+        if not extended or tool_tiers != self.tool_tiers:
+            self.upto.clear()
+        elif (kg, sg) != self.graphs:
+            for ast in [a for a in self.upto if uses_graphs(a)]:
+                del self.upto[ast]
+        self.graphs = (kg, sg)
+        self.tool_tiers = tool_tiers
+        self.checked = len(history)
+        self.last = history[-1] if history else None
+        return self.upto
+
+    def keep_only(self, entries: Sequence["RuleEntry"]) -> None:
+        self.upto = {e.ast: self.upto[e.ast] for e in entries if e.ast in self.upto}
+
+
+@dataclass
 class LearnerState:
     """Single-owner state threading through learning iterations."""
 
@@ -118,6 +171,7 @@ class LearnerState:
     dropped_edges: int = 0
     last_trace: tuple["SelectionStep", ...] = ()
     diagnostics: EvalDiagnostics = field(default_factory=EvalDiagnostics)
+    validity: ValidityWatermark = field(default_factory=ValidityWatermark)
 
     def misprediction_keys(self) -> set[str]:
         return {t.digest() + str(p.success) for t, p in self.mispredictions}
@@ -274,15 +328,24 @@ def drop_invalid(
     sg: SceneGraph,
     *,
     tool_tiers: Sequence[str],
+    watermark: dict[RuleAst, int] | None = None,
 ) -> RuleSet:
     """Remove every rule that, on any transition where it asserts a success
     bit, asserts the wrong one.  Dormant transitions are excluded, so a rule
-    whose condition branch never fires in the data is untouched."""
+    whose condition branch never fires in the data is untouched.
+
+    `watermark` maps a rule's AST to the number of leading transitions it is
+    already known to be valid on; only the rest are scanned.  The map is
+    updated in place: a kept rule's entry advances to the full length and a
+    dropped rule's entry goes.  An empty or absent map checks from scratch.
+    """
     transitions = real.transitions if isinstance(real, Trajectory) else tuple(real)
+    if watermark is None:
+        watermark = {}
     keep = []
     for entry in rules.entries:
         valid = True
-        for t in transitions:
+        for t in transitions[watermark.get(entry.ast, 0):]:
             verdict = evaluate(entry.ast, t.obs, t.action, kg, sg, tool_tiers=tool_tiers)
             asserted = asserted_bit(entry.ast, verdict)
             if asserted is not None and asserted != t.outcome.success:
@@ -291,6 +354,9 @@ def drop_invalid(
                 break
         if valid:
             keep.append(entry)
+            watermark[entry.ast] = len(transitions)
+        else:
+            watermark.pop(entry.ast, None)
     return RuleSet(tuple(keep), rules.limit)
 
 
@@ -352,6 +418,11 @@ def ns_learning(
     window), compile, validate against all real transitions seen so far,
     then prune by greedy maximum coverage over the accumulated misprediction
     set.  Graph updates land in the state even if the proposer fails midway.
+
+    Validation is incremental: `state.validity` remembers how far each
+    surviving rule was already checked, so a call checks new rules against
+    the whole history and old rules against the new transitions only (all
+    of it again for graph-reading rules once the graphs changed).
     """
     correct, incorrect = classify_transitions(real, pred)
 
@@ -395,7 +466,11 @@ def ns_learning(
     pool = RuleSet(state.rules.entries + tuple(new_entries), config.limit)
 
     if config.prune:
-        pool = drop_invalid(pool, state.history, state.kg, state.sg, tool_tiers=tool_tiers)
+        watermark = state.validity.refresh(state.history, state.kg, state.sg, tool_tiers)
+        pool = drop_invalid(
+            pool, state.history, state.kg, state.sg,
+            tool_tiers=tool_tiers, watermark=watermark,
+        )
         matrix = build_matrix(
             pool.entries, state.mispredictions, state.kg, state.sg, tool_tiers=tool_tiers
         )
@@ -408,6 +483,7 @@ def ns_learning(
             replace(by_id[rule_id], covered=gains[rule_id]) for rule_id in order
         )
         result_set = RuleSet(survivors, config.limit)
+        state.validity.keep_only(survivors)
     else:
         state.last_trace = ()
         result_set = RuleSet(pool.entries, config.limit)

@@ -116,6 +116,18 @@ def test_ablate_limit_single_column(tmp_path):
     assert set(table["arms"]) == {"l=6", "no_pruning"}
 
 
+def test_ablate_limit_worker_pool_writes_identical_table(tmp_path):
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli([
+            "ablate-limit", *FAST, "--limits", "3", "--trials", "2", "--iterations", "1",
+            "--workers", workers, "--out", out,
+        ]) == 0
+        outs.append((out / "ablation.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_ablate_limit_zero_rejected(tmp_path):
     assert run_cli(["ablate-limit", *FAST, "--limits", "0", "--out", tmp_path / "x"]) == 2
 
@@ -183,3 +195,53 @@ def test_backend_predictor_without_endpoint_fails_cleanly(tmp_path, capsys, monk
     code = run_cli(["simulate", *FAST, "--predictor", "backend", "--out", tmp_path / "x"])
     assert code == 2
     assert "backend" in capsys.readouterr().err.lower()
+
+
+def tree_digest(root, skip=("manifest.json",)):
+    """SHA-256 over every file's relative path and bytes, in path order."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        if rel in skip:  # the manifest echoes the absolute --out
+            continue
+        digest.update(rel.encode() + b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+# Pinned artifact digests: any change to these is a change of behaviour.
+GOLDEN_RUNS = {
+    "simulate_step_cadence_noisy": (
+        ["simulate", "--config", "all_three", "--cadence", "step", "--proposer", "noisy",
+         "--trials", "1", "--iterations", "2", "--target", "none"],
+        "8492d712b33e24418073176f8edd1b6d811fdddde546eae0f6abb5ccb8fc4b89",
+    ),
+    "simulate_episode_cadence_taskdep": (
+        ["simulate", "--config", "taskdep", "--trials", "1", "--iterations", "2"],
+        "360525559c7f43ca598b0cc0cfd7253f331db804c04df11e3150e0bdc639c45d",
+    ),
+    "simulate_episode_cadence_taskdep_noisy": (
+        ["simulate", "--config", "taskdep", "--proposer", "noisy", "--trials", "1",
+         "--iterations", "3"],
+        "f95c0a486939d2e6fad1c7e76550ed7c76f54c6a6162602bcd02166beac80ee6",
+    ),
+    "ablate_limit": (
+        ["ablate-limit", *FAST, "--trials", "2", "--iterations", "2", "--limits", "3,1"],
+        "ba83d9ad9261213db115069ebaac4ec5602a61a2f8345550076a7c5be12fd90c",
+    ),
+    "coverage_curve_noisy": (
+        ["coverage-curve", *FAST, "--proposer", "noisy", "--iterations", "4"],
+        "f43b2e037de95d7838acddbbbccfc7ec108145b281312e57908148c99564367b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_artifacts_match_golden_digest(tmp_path, name):
+    args, expected = GOLDEN_RUNS[name]
+    out = tmp_path / name
+    assert run_cli([*args, "--out", out]) == 0
+    assert tree_digest(out) == expected

@@ -123,6 +123,25 @@ def test_transition_round_trip(obs, action, success, feedback):
     assert Transition.from_json(json.loads(json.dumps(t.to_json()))) == t
 
 
+def test_transition_digest_is_memoised_outside_equality_and_pickling():
+    import copy
+    import hashlib
+    import pickle
+
+    from worldalign.core import dumps_canonical
+
+    t = make_transition(Action("sleep", {}), True, feedback="rested")
+    before = pickle.dumps(t)
+    expected = hashlib.sha1(dumps_canonical(t.to_json()).encode()).hexdigest()[:12]
+    assert t.digest() == expected
+    assert t.digest() is t.digest()  # computed once
+    assert pickle.dumps(t) == before
+    twin = make_transition(Action("sleep", {}), True, feedback="rested")
+    assert t == twin and twin.digest() == expected
+    assert pickle.loads(before) == t and copy.deepcopy(t).digest() == expected
+    assert Transition.from_json(t.to_json()).to_json() == t.to_json()
+
+
 def test_trajectory_ndjson_round_trip():
     t = make_transition(Action("sleep", {}), True)
     traj = Trajectory((t, t), seed=42, config_id="default")

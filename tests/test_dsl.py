@@ -30,6 +30,7 @@ from worldalign.dsl import (
     parse,
     parse_many,
     pretty_print,
+    uses_graphs,
 )
 from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_update
 
@@ -249,6 +250,33 @@ def test_unresolvable_sg_atom_deactivates_with_diagnostic():
                        diagnostics=diagnostics)
     assert verdict == RuleVerdict(activated=False, flag=True)
     assert diagnostics.unresolvable == 1
+    assert diagnostics.unresolvable_by_rule == {"s": 1}
+
+
+def test_unresolvable_counts_are_keyed_by_rule_id():
+    cave = parse('RULE s FOR explore: FAIL IF sg_unexplored("cave")')
+    laser = parse('RULE t FOR explore: FAIL IF has_tool_at_least("laser_pickaxe")')
+    diagnostics = EvalDiagnostics()
+    action = Action("explore", {"direction": "north", "steps": 1})
+    for _ in range(50):
+        for rule in (cave, laser):
+            evaluate(rule, make_obs(), action, KnowledgeGraph.empty(),
+                     SceneGraph.initial(["grass"]), diagnostics=diagnostics)
+    assert diagnostics.unresolvable == 100
+    assert diagnostics.unresolvable_by_rule == {"s": 50, "t": 50}
+
+
+@pytest.mark.parametrize("text, reads", [
+    ('RULE a FOR mine: FAIL IF NOT (action.args[block_name] in near_objects)', False),
+    ('RULE b FOR mine: FAIL IF NOT has_tool_at_least("wood_pickaxe")', False),
+    ('RULE c FOR make: FAIL IF NOT kg_requires(action.args[tool_name]) satisfied_by inventory',
+     True),
+    ('RULE d FOR mine: FAIL IF obs.position == "sand" AND sg_contains("grass", "cow")', True),
+    ('RULE e FOR explore: FAIL IF NOT (obs.in_front == "water" OR NOT sg_unexplored("sand"))',
+     True),
+])
+def test_uses_graphs_finds_graph_atoms_at_any_depth(text, reads):
+    assert uses_graphs(parse(text)) is reads
 
 
 def test_unknown_tool_tier_deactivates():

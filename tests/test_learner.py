@@ -1,15 +1,18 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition
 from worldalign.dsl import parse
 from worldalign.env import make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
-from worldalign.graphs import KnowledgeGraph, SceneGraph, kg_merge
+from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_update
 from worldalign.learner import (
     CoverageMatrix,
     LearnerConfig,
@@ -17,6 +20,7 @@ from worldalign.learner import (
     RuleEntry,
     RuleSet,
     SelectionStep,
+    ValidityWatermark,
     cover_rate,
     coverage,
     drop_invalid,
@@ -435,3 +439,186 @@ def test_rule_set_reload_honors_stored_ids_after_collision():
     ]
     restored = RuleSet.from_json(doc, 6)
     assert [e.id for e in restored.entries] == ["near", "near__2"]
+
+
+# -- incremental validation ------------------------------------------------------
+
+def test_watermark_skips_the_checked_prefix():
+    # a rule proven valid on the first two transitions is not re-checked on
+    # them, so a contradiction hidden there goes unseen; the third is scanned
+    rule = _entry('RULE bad FOR make: FAIL IF "table" in near_objects')
+    obs = make_obs(near=("table",))
+    ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
+    other = Transition(make_obs(), Action("sleep", {}), Outcome(True, "ok"), make_obs())
+    watermark = {rule.ast: 2}
+    kept = drop_invalid(RuleSet((rule,), 6), [ok, ok, other], KnowledgeGraph.empty(),
+                        SceneGraph(), tool_tiers=TIERS, watermark=watermark)
+    assert len(kept) == 1 and watermark == {rule.ast: 3}
+    kept = drop_invalid(RuleSet((rule,), 6), [ok, ok, other, ok], KnowledgeGraph.empty(),
+                        SceneGraph(), tool_tiers=TIERS, watermark=watermark)
+    assert len(kept) == 0 and watermark == {}
+
+
+def test_watermark_is_keyed_by_ast_not_id():
+    valid = _entry('RULE twin FOR make: FAIL IF "furnace" in near_objects')
+    reused = _entry('RULE twin FOR make: FAIL IF "table" in near_objects')
+    obs = make_obs(near=("table",))
+    ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
+    watermark = {valid.ast: 1}
+    kept = drop_invalid(RuleSet((reused,), 6), [ok], KnowledgeGraph.empty(), SceneGraph(),
+                        tool_tiers=TIERS, watermark=watermark)
+    assert len(kept) == 0
+
+
+NEAR = "NOT (action.args[block_name] in near_objects)"
+# Each graph- or tier-reading rule equals `near` (so it covers mispredictions
+# and survives) until a graph or tier change makes it fire on every mine.
+DIFFERENTIAL_POOL = (
+    f'RULE near_cow FOR mine: FAIL IF {NEAR} OR sg_contains("grass", "cow")',
+    f'RULE near_sand FOR mine: FAIL IF {NEAR} OR NOT sg_unexplored("sand")',
+    f"RULE near_kg FOR mine: FAIL IF {NEAR} OR "
+    "NOT kg_requires(action.args[block_name]) satisfied_by inventory",
+    f'RULE near_tier FOR mine: FAIL IF {NEAR} OR has_tool_at_least("wood_pickaxe")',
+    f"RULE near FOR mine: FAIL IF {NEAR}",
+    # equals `near` until the agent holds 20 saplings: valid on a prefix only
+    f'RULE near_few FOR mine: FAIL IF {NEAR} OR inventory["sapling"] >= 20',
+    'RULE twin FOR mine: FAIL IF obs.in_front == "tree"',
+    'RULE twin FOR mine: FAIL IF NOT (obs.in_front == "tree")',
+    "RULE attack FOR attack: FAIL IF NOT (action.args[creature] in near_objects)",
+)
+DIFFERENTIAL_EDGES = (
+    {"u": "grass", "v": "diamond", "label": {"relation": "requires", "quantity": 1}},
+    {"u": "tree", "v": "diamond", "label": {"relation": "requires", "quantity": 1}},
+    {"u": "stone", "v": "wood_pickaxe", "label": {"relation": "requires", "quantity": 1}},
+)
+DIFFERENTIAL_OBS = (
+    make_obs(position="sand"),
+    make_obs(visible=(("cow", 1, 0),)),
+    make_obs(position="tree", visible=(("zombie", 0, 1),)),
+)
+# Under these tiers a sapling counts as a tool, so `near_tier` fires once
+# the agent has gathered one.
+ALT_TIERS = ("wood_pickaxe", "sapling")
+
+
+class _ScriptedProposer:
+    """Returns whatever the test queued for the next call."""
+
+    def __init__(self) -> None:
+        self.rules: list[str] = []
+        self.edges: list[dict] = []
+
+    def propose_rules(self, window, existing):
+        return list(self.rules)
+
+    def propose_kg_edges(self, window):
+        return list(self.edges)
+
+
+@functools.lru_cache(maxsize=1)
+def _differential_probe():
+    config = make_config("default", seed=3)
+    return run_probe(config, NaivePrior(config), 100), sorted(config.terrain_table)
+
+
+def _mask(bits: int, pool):
+    return [item for i, item in enumerate(pool) if bits >> i & 1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("append", "kg", "sg", "tiers", "rewrite")),
+            st.integers(0, 99),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_watermark_drop_invalid_matches_from_scratch(ops):
+    """The watermark alone, with every rule it proves valid kept in the map:
+    after each history append, KG merge, SG update, tool-tier switch or
+    history rewrite, the incremental check equals a from-scratch one."""
+    (real, _), locations = _differential_probe()
+    pool = RuleSet(tuple(_entry(t) for t in DIFFERENTIAL_POOL if "twin" not in t), 20)
+    history = []
+    kg, sg, tiers = KnowledgeGraph.empty(), SceneGraph.initial(locations), TIERS
+    validity = ValidityWatermark()
+    for op, arg in ops:
+        if op == "append":  # three probe transitions from anywhere in the run
+            history = history + list(real.transitions[arg : arg + 3])
+        elif op == "kg":
+            kg = kg_merge(kg, [KgEdge.from_json(DIFFERENTIAL_EDGES[arg % 3])])
+        elif op == "sg":
+            sg = sg_update(sg, DIFFERENTIAL_OBS[arg % 3])
+        elif op == "tiers":
+            tiers = ALT_TIERS if tiers == TIERS else TIERS
+        else:  # cut the history back, then append in the same step
+            kept = history[: len(history) * arg // 100]
+            history = kept + list(real.transitions[arg : arg + 3])
+        watermark = validity.refresh(history, kg, sg, tiers)
+        got = drop_invalid(pool, history, kg, sg, tool_tiers=tiers, watermark=watermark)
+        assert got == drop_invalid(pool, history, kg, sg, tool_tiers=tiers)
+        validity.keep_only(got.entries)
+        assert set(validity.upto) == {e.ast for e in got.entries}
+
+
+_STEP = st.tuples(
+    st.integers(0, 4),  # new transitions
+    st.integers(0, 2 ** len(DIFFERENTIAL_POOL) - 1),  # rules proposed
+    st.integers(0, 2 ** len(DIFFERENTIAL_EDGES) - 1),  # edges proposed
+    st.sampled_from(("none", "kg", "sg", "tiers", "truncate")),  # outside change
+    st.integers(0, len(DIFFERENTIAL_OBS) - 1),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 60),
+    st.integers(1, 4),
+    st.lists(_STEP, min_size=1, max_size=8),
+)
+def test_incremental_drop_invalid_matches_from_scratch(offset, limit, steps):
+    """Random history appends, KG merges, SG updates, tool-tier switches and
+    history truncations: every validity check ns_learning makes with its
+    watermark equals a from-scratch check, and the map stays bounded."""
+    (real, predicted), locations = _differential_probe()
+    original = learner.drop_invalid
+    checks = []
+
+    def checked(rules, transitions, kg, sg, *, tool_tiers, watermark=None):
+        expected = original(rules, transitions, kg, sg, tool_tiers=tool_tiers, watermark={})
+        got = original(rules, transitions, kg, sg, tool_tiers=tool_tiers, watermark=watermark)
+        assert got == expected
+        checks.append(len(got))
+        return got
+
+    proposer = _ScriptedProposer()
+    state = LearnerState(rules=RuleSet((), limit))
+    state.sg = SceneGraph.initial(locations)
+    tiers = TIERS
+    cursor = offset
+    with mock.patch.object(learner, "drop_invalid", checked):
+        for count, rule_bits, edge_bits, change, obs_index in steps:
+            if change == "kg":
+                edges = [KgEdge.from_json(e) for e in _mask(edge_bits, DIFFERENTIAL_EDGES)]
+                state.kg = kg_merge(state.kg, edges)
+            elif change == "sg":
+                state.sg = sg_update(state.sg, DIFFERENTIAL_OBS[obs_index])
+            elif change == "tiers":
+                tiers = ALT_TIERS if tiers == TIERS else TIERS
+            elif change == "truncate":
+                state.history = state.history[: len(state.history) // 2]
+            proposer.rules = _mask(rule_bits, DIFFERENTIAL_POOL)
+            proposer.edges = _mask(edge_bits, DIFFERENTIAL_EDGES)
+            hi = min(cursor + count, len(real))
+            ns_learning(
+                Trajectory(predicted.transitions[cursor:hi]),
+                Trajectory(real.transitions[cursor:hi]),
+                state, proposer, LearnerConfig(limit=limit), tool_tiers=tiers,
+            )
+            cursor = hi
+            assert len(state.validity.upto) <= limit
+            assert set(state.validity.upto) <= {e.ast for e in state.rules.entries}
+    assert len(checks) == len(steps)
