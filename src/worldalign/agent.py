@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .core import Action, Observation, Outcome, Trajectory, Transition
-from .dsl import EvalDiagnostics
+from .core import Action, Observation, Outcome, Trajectory, Transition, has_tool_at_least
+from .dsl import EvalDiagnostics, parse_shortfall
 from .env.config import (
     ACHIEVEMENTS,
     EffectiveTables,
@@ -25,7 +25,7 @@ from .env.config import (
     TARGET_CHAIN_ACHIEVEMENT,
     WorldConfig,
 )
-from .env.world import DIR_DELTAS, MarsWorld
+from .env.world import DIR_DELTAS, WALKABLE, MarsWorld
 from .graphs import KnowledgeGraph, SceneGraph
 from .learner import LearnerConfig, LearnerState, RuleSet, cover_rate, ns_learning
 from .proposers import Proposer, ProposerUnavailable
@@ -108,9 +108,6 @@ def mpc_plan(
     )
     return MpcResult(action, predicted, result.next_obs, replan_count, tuple(steps))
 
-
-_MISSING_RE = re.compile(r"(\w+): (\d+) more needed")
-_PLATFORM_RE = re.compile(r"(\w+): must be nearby")
 
 # Secondary goals pursued once the primary chain product is crafted, for
 # achievement variety on full-budget runs.
@@ -213,11 +210,12 @@ class ScriptedPlanner:
     def _diversion_for(
         self, obs: Observation, kg: KnowledgeGraph, desired: Action, text: str
     ) -> Action | None:
-        for material, count in _MISSING_RE.findall(text):
-            action = self._gather(material, int(count), obs, kg, set())
+        missing, platforms = parse_shortfall(text)
+        for material, count in missing:
+            action = self._gather(material, count, obs, kg, set())
             if action is not None:
                 return action
-        for platform in _PLATFORM_RE.findall(text):
+        for platform in platforms:
             action = self._progress_toward(platform, obs, kg, set())
             if action is not None:
                 return action
@@ -275,10 +273,7 @@ class ScriptedPlanner:
         return False
 
     def _upkeep(self, obs: Observation) -> Action | None:
-        hostiles = {
-            name for name, traits in self.beliefs.survival.items() if traits.hostile
-        }
-        threat = sorted(hostiles & obs.near_objects)
+        threat = [name for name in self.beliefs.hostiles() if name in obs.near_objects]
         if threat:
             return Action("attack", {"creature": threat[0], "amount": 1})
         # A modified world may have hostiles the default beliefs miss; if we
@@ -338,10 +333,7 @@ class ScriptedPlanner:
         recipe = self.beliefs.recipes.get(product)
         if recipe is None:
             return {}, None
-        needs = dict(recipe.requires)
-        for material, count in recipe.consumes.items():
-            needs[material] = needs.get(material, 0) + count
-        return needs, recipe.platform
+        return recipe.needs(), recipe.platform
 
     def _belief_sources(self, material: str, kg: KnowledgeGraph) -> list[str]:
         learned = kg.sources(material)
@@ -387,7 +379,7 @@ class ScriptedPlanner:
         for source in self._belief_sources(material, kg):
             rule = self.beliefs.mining.get(source)
             tool = rule.tool if rule is not None else None
-            if tool is not None and not self._has_tool(obs, tool):
+            if not has_tool_at_least(obs.inventory, tool, self.beliefs.tool_tiers):
                 sub = self._progress_toward(tool, obs, kg, visited)
                 if sub is not None:
                     return sub
@@ -413,13 +405,6 @@ class ScriptedPlanner:
                 return sub
         return None
 
-    def _has_tool(self, obs: Observation, tier: str) -> bool:
-        tiers = self.beliefs.tool_tiers
-        if tier not in tiers:
-            return obs.inventory_count(tier) > 0
-        idx = tiers.index(tier)
-        return any(obs.inventory_count(t) > 0 for t in tiers[idx:])
-
     # -- movement helpers -------------------------------------------------------
     def _approach(self, obs: Observation, name: str) -> Action | None:
         """Path toward a visible instance via BFS over the walkable cells of
@@ -434,7 +419,7 @@ class ScriptedPlanner:
             self._commit.pop(name, None)
             return None
         cells = self._cell_types(obs)
-        walkable = {pos for pos, kinds in cells.items() if kinds <= {"grass", "sand"}}
+        walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
         walkable.add((0, 0))
 
         committed: tuple[int, int] | None = None
@@ -527,7 +512,7 @@ class ScriptedPlanner:
 
         def open_cell(x: int, y: int) -> bool:
             kinds = cells.get((x, y))
-            return kinds is not None and kinds <= {"grass", "sand"}
+            return kinds is not None and kinds <= WALKABLE
 
         anchors = [
             pos
@@ -558,7 +543,7 @@ class ScriptedPlanner:
     def _place_or_turn(
         self, product: str, obs: Observation, platform: str | None = None
     ) -> Action:
-        if obs.in_front in ("grass", "sand") or not self._surface_lesson:
+        if obs.in_front in WALKABLE or not self._surface_lesson:
             return Action("place", {"block_name": product})
         return self._turn_to_open(obs, keep_near=platform)
 
@@ -569,7 +554,7 @@ class ScriptedPlanner:
         if self._sweep_uses % 8 == 0:
             self._advance_sweep()
         cells = self._cell_types(obs)
-        walkable = {pos for pos, kinds in cells.items() if kinds <= {"grass", "sand"}}
+        walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
         if not walkable:
             return Action("explore", {"direction": self._sweep_dirs[self._sweep_idx], "steps": 1})
         max_x = max(abs(x) for x, _ in cells)

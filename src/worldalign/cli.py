@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,10 +26,12 @@ from .env.config import (
     load_config,
 )
 from .experiments import (
+    LOG_FORMAT,
     coverage_curve,
     episode_seed,
     mean_std,
     run_ablation,
+    run_trials,
     standard_components,
 )
 from .graphs import KnowledgeGraph
@@ -141,18 +142,10 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     out = Path(spec.out)
     write_json(out / "manifest.json", {"version": __version__, "spec": spec.to_json()})
     spec_json = spec.to_json()
-    results: list[dict] = []
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [
-                pool.submit(_run_one_trial, spec_json, t) for t in range(spec.trials)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        for t in range(spec.trials):
-            results.append(_run_one_trial(spec_json, t))
-
-    rows = [row for result in sorted(results, key=lambda r: r["trial"]) for row in result["rows"]]
+    results = run_trials(
+        _run_one_trial, [(spec_json, t) for t in range(spec.trials)], spec.workers
+    )
+    rows = [row for result in results for row in result["rows"]]
     write_json(out / "rows.json", rows)
     summary = {}
     for key in ("reward", "score", "cover_rate", "steps"):
@@ -352,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+        format=LOG_FORMAT,
     )
     try:
         if args.command == "simulate":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 ACTION_NAMES = ("mine", "attack", "sleep", "place", "make", "explore")
 
@@ -35,6 +36,17 @@ DIRECTIONS = ("north", "south", "east", "west")
 
 # Mining prerequisite ladder shared by config defaults and rule evaluation.
 DEFAULT_TOOL_TIERS = ("wood_pickaxe", "stone_pickaxe", "iron_pickaxe")
+
+
+def has_tool_at_least(
+    inventory: Mapping[str, int], tier: str | None, tiers: Sequence[str]
+) -> bool:
+    """True when `inventory` holds `tier` or a later entry of the `tiers`
+    ladder; always true for tier None (bare hands).  Raises ValueError for a
+    tier outside the ladder."""
+    if tier is None:
+        return True
+    return any(inventory.get(t, 0) > 0 for t in tiers[tiers.index(tier):])
 
 
 class LengthMismatch(ValueError):

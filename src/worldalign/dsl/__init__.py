@@ -25,7 +25,8 @@ from .evaluate import (
     RuleVerdict,
     evaluate,
     evaluate_all,
-    missing_materials,
+    format_shortfall,
+    parse_shortfall,
     render_template,
 )
 from .parser import ParseError, RuleTypeError, parse, parse_many
@@ -35,6 +36,6 @@ __all__ = [
     "InventoryAtLeast", "JointVerdict", "KgSatisfied", "Lit", "Membership",
     "Not", "ObsCmp", "Or", "ParseError", "Polarity", "RuleAst",
     "RuleTypeError", "RuleVerdict", "SgContains", "SgUnexplored", "evaluate",
-    "evaluate_all", "missing_materials", "parse", "parse_many",
+    "evaluate_all", "format_shortfall", "parse", "parse_many", "parse_shortfall",
     "pretty_print", "render_template", "uses_graphs",
 ]

@@ -7,11 +7,12 @@ diagnostic counter instead of faulting.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core import Action, DEFAULT_TOOL_TIERS, Observation
+from ..core import Action, DEFAULT_TOOL_TIERS, Observation, has_tool_at_least
 from ..graphs import KnowledgeGraph, SceneGraph, UNEXPLORED, sg_locate
 from .ast import (
     And,
@@ -107,8 +108,7 @@ def _eval(expr: Expr, ctx: _Context) -> bool:
     if isinstance(expr, HasToolAtLeast):
         if expr.tier not in ctx.tool_tiers:
             raise _Unresolvable(f"unknown tool tier {expr.tier!r}")
-        idx = ctx.tool_tiers.index(expr.tier)
-        return any(ctx.obs.inventory_count(t) > 0 for t in ctx.tool_tiers[idx:])
+        return has_tool_at_least(ctx.obs.inventory, expr.tier, ctx.tool_tiers)
     if isinstance(expr, KgSatisfied):
         product = ctx.value(expr.product)
         materials, platform = ctx.kg.requirements(product)
@@ -127,9 +127,15 @@ def _eval(expr: Expr, ctx: _Context) -> bool:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-def missing_materials(kg: KnowledgeGraph, product: str, obs: Observation) -> list[str]:
-    """Human-readable shortfall list for a product, e.g. ``wood: 2 more needed``."""
-    materials, platform = kg.requirements(product)
+_MISSING_RE = re.compile(r"(\w+): (\d+) more needed")
+_PLATFORM_RE = re.compile(r"(\w+): must be nearby")
+
+
+def format_shortfall(
+    materials: dict[str, int], platform: str | None, obs: Observation
+) -> list[str]:
+    """What `obs` lacks for a craft, e.g. ``wood: 2 more needed`` and
+    ``table: must be nearby``; `parse_shortfall` reads it back."""
     out = []
     for material, need in sorted(materials.items()):
         have = obs.inventory_count(material)
@@ -138,6 +144,13 @@ def missing_materials(kg: KnowledgeGraph, product: str, obs: Observation) -> lis
     if platform is not None and platform not in obs.near_objects:
         out.append(f"{platform}: must be nearby")
     return out
+
+
+def parse_shortfall(text: str) -> tuple[list[tuple[str, int]], list[str]]:
+    """The (material, missing count) pairs and platform names that
+    `format_shortfall` wrote anywhere in `text`, in order."""
+    missing = [(material, int(count)) for material, count in _MISSING_RE.findall(text)]
+    return missing, _PLATFORM_RE.findall(text)
 
 
 def _bindings(rule: RuleAst, ctx: _Context) -> dict[str, str]:
@@ -150,7 +163,7 @@ def _bindings(rule: RuleAst, ctx: _Context) -> dict[str, str]:
         product = str(ctx.action.args["block_name"])
     if product is not None:
         binds["product"] = product
-        shortfall = missing_materials(ctx.kg, product, ctx.obs)
+        shortfall = format_shortfall(*ctx.kg.requirements(product), ctx.obs)
         binds["missing"] = ", ".join(shortfall) if shortfall else "nothing"
     return binds
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from ..core import DEFAULT_TOOL_TIERS
+from ..core import DEFAULT_TOOL_TIERS, has_tool_at_least
 
 
 class UnsolvableConfig(ValueError):
@@ -23,6 +23,23 @@ class Recipe:
     consumes: dict[str, int] = field(default_factory=dict)
     requires: dict[str, int] = field(default_factory=dict)
     platform: str | None = None
+
+    def needs(self) -> dict[str, int]:
+        """What the inventory must hold: requires plus consumes, summed."""
+        needs = dict(self.requires)
+        for material, count in self.consumes.items():
+            needs[material] = needs.get(material, 0) + count
+        return needs
+
+    def consume(self, inventory: dict[str, int]) -> None:
+        """Take the consumed materials out of `inventory`, in place; a count
+        that reaches zero (or would go below it) drops the entry."""
+        for material, count in self.consumes.items():
+            left = inventory.get(material, 0) - count
+            if left > 0:
+                inventory[material] = left
+            else:
+                inventory.pop(material, None)
 
     def to_json(self) -> dict:
         return {
@@ -190,6 +207,13 @@ class WorldConfig:
     def __post_init__(self) -> None:
         if sum(self.terrain_table.values()) <= 0:
             raise ValueError("terrain spawn weights must sum to a positive value")
+        for mining in (self.mining, *(mod.mining for mod in self.modifications)):
+            for block, rule in mining.items():
+                if rule.tool is not None and rule.tool not in self.tool_tiers:
+                    raise ValueError(
+                        f"mining {block!r} names tool tier {rule.tool!r}, "
+                        f"not one of tool_tiers {list(self.tool_tiers)}"
+                    )
 
     def with_seed(self, seed: int) -> "WorldConfig":
         return replace(self, seed=seed)
@@ -269,17 +293,10 @@ def check_solvable(config: WorldConfig) -> None:
     otherwise."""
     tables = config.effective()
     obtainable: set[str] = set()
-    craftable: set[str] = set()
-
-    def tool_available(tool: str | None) -> bool:
-        if tool is None:
-            return True
-        idx = tables.tool_tiers.index(tool)
-        return any(t in craftable for t in tables.tool_tiers[idx:])
+    craftable: dict[str, int] = {}  # one of each craftable product, as an inventory
 
     def recipe_ready(recipe: Recipe) -> bool:
-        needs = set(recipe.consumes) | set(recipe.requires)
-        if not needs <= obtainable:
+        if not recipe.needs().keys() <= obtainable:
             return False
         return recipe.platform is None or recipe.platform in craftable
 
@@ -287,19 +304,21 @@ def check_solvable(config: WorldConfig) -> None:
     while changed:
         changed = False
         for block, rule in tables.mining.items():
-            if block in tables.terrain and tool_available(rule.tool):
+            if block in tables.terrain and has_tool_at_least(
+                craftable, rule.tool, tables.tool_tiers
+            ):
                 if rule.drop not in obtainable:
                     obtainable.add(rule.drop)
                     changed = True
         for product, recipe in tables.recipes.items():
             if product not in craftable and recipe_ready(recipe):
-                craftable.add(product)
+                craftable[product] = 1
                 obtainable.add(product)
                 changed = True
 
     problems = []
     for product, recipe in tables.recipes.items():
-        missing = (set(recipe.consumes) | set(recipe.requires)) - obtainable
+        missing = recipe.needs().keys() - obtainable
         if missing:
             problems.append(f"{product}: unobtainable ingredients {sorted(missing)}")
         if recipe.platform is not None and recipe.platform not in craftable:

@@ -18,6 +18,7 @@ from ..core import (
     Transition,
     Trajectory,
     VisibleObject,
+    has_tool_at_least,
 )
 from .config import (
     ACHIEVEMENTS,
@@ -29,7 +30,7 @@ from .config import (
 )
 from .oracle import kg_edges_for_config, rules_for_config
 
-WALKABLE = ("grass", "sand")
+WALKABLE = frozenset(("grass", "sand"))  # open cells: walk, spawn and place here
 DIR_DELTAS = {"north": (0, -1), "south": (0, 1), "east": (1, 0), "west": (-1, 0)}
 
 DECAY_PERIOD = 25  # food/drink/energy each lose one point this often
@@ -227,7 +228,7 @@ class MarsWorld:
         rule = self.tables.mining.get(block)
         if rule is None:
             return False, f"{block} cannot be mined"
-        if rule.tool is not None and not self._has_tool(rule.tool):
+        if not has_tool_at_least(self.inventory, rule.tool, self.tables.tool_tiers):
             return False, f"mining {block} needs {rule.tool} or better"
         targets = [
             (x, y) for x, y in self._near_cells() if self.grid[y][x] == block
@@ -310,7 +311,7 @@ class MarsWorld:
             or self._creature_at(fx, fy)
         ):
             return False, f"cannot place {block}: the cell ahead is blocked"
-        self._consume(recipe)
+        recipe.consume(self.inventory)
         self.grid[fy][fx] = "plant" if block == "sapling" else block
         name = "place_plant" if block == "sapling" else f"place_{block}"
         self.ledger.unlock(name, self.step_count)
@@ -326,7 +327,7 @@ class MarsWorld:
         shortfall = self._recipe_shortfall(recipe)
         if shortfall:
             return False, f"cannot make {tool}: missing {', '.join(shortfall)}"
-        self._consume(recipe)
+        recipe.consume(self.inventory)
         self.inventory[tool] = self.inventory.get(tool, 0) + 1
         self.ledger.unlock(f"make_{tool}", self.step_count)
         return True, f"made {tool}"
@@ -354,10 +355,7 @@ class MarsWorld:
     # -- recipe helpers ------------------------------------------------------
     def _recipe_shortfall(self, recipe) -> list[str]:
         shortfall = []
-        needs: dict[str, int] = dict(recipe.requires)
-        for material, count in recipe.consumes.items():
-            needs[material] = needs.get(material, 0) + count
-        for material, count in sorted(needs.items()):
+        for material, count in sorted(recipe.needs().items()):
             have = self.inventory.get(material, 0)
             if have < count:
                 shortfall.append(f"{material} x{count - have}")
@@ -366,17 +364,6 @@ class MarsWorld:
             if recipe.platform not in near:
                 shortfall.append(f"a nearby {recipe.platform}")
         return shortfall
-
-    def _consume(self, recipe) -> None:
-        for material, count in recipe.consumes.items():
-            self.inventory[material] -= count
-            if self.inventory[material] == 0:
-                del self.inventory[material]
-
-    def _has_tool(self, tier: str) -> bool:
-        tiers = self.tables.tool_tiers
-        idx = tiers.index(tier)
-        return any(self.inventory.get(t, 0) > 0 for t in tiers[idx:])
 
     # -- autonomous dynamics ---------------------------------------------------
     def _wander_creatures(self) -> None:
@@ -488,23 +475,18 @@ def apply_effect(
             status = replace(status, food=food, health=health)
     elif action.name == "sleep":
         status = replace(status, energy=9)
-    elif action.name == "place":
-        block = str(action.args["block_name"])
-        recipe = tables.recipes.get(block)
+    elif action.name in ("place", "make"):
+        product = str(action.args["block_name" if action.name == "place" else "tool_name"])
+        recipe = tables.recipes.get(product)
         if recipe is not None:
-            for material, count in recipe.consumes.items():
-                inventory[material] = max(0, inventory.get(material, 0) - count)
-        placed = "plant" if block == "sapling" else block
-        in_front = placed
-        near.add(placed)
-        visible = visible + (VisibleObject(placed, 0, 0),)
-    elif action.name == "make":
-        tool = str(action.args["tool_name"])
-        recipe = tables.recipes.get(tool)
-        if recipe is not None:
-            for material, count in recipe.consumes.items():
-                inventory[material] = max(0, inventory.get(material, 0) - count)
-        inventory[tool] = inventory.get(tool, 0) + 1
+            recipe.consume(inventory)
+        if action.name == "make":
+            inventory[product] = inventory.get(product, 0) + 1
+        else:
+            placed = "plant" if product == "sapling" else product
+            in_front = placed
+            near.add(placed)
+            visible = visible + (VisibleObject(placed, 0, 0),)
 
     inventory = {k: v for k, v in inventory.items() if v > 0}
     return Observation(

@@ -6,22 +6,25 @@ and component stacks are rebuilt per episode from those seeds.
 """
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .agent import EpisodeComponents, EpisodeResult, ScriptedPlanner, run_episode
 from .core import Action, Observation, Trajectory, Transition, classify_transitions
 from .env.config import TARGET_CHAIN_ACHIEVEMENT, WorldConfig
-from .env.world import MarsWorld, apply_effect
+from .env.world import DIR_DELTAS, WALKABLE, MarsWorld, apply_effect
 from .graphs import SceneGraph
 from .learner import LearnerConfig, LearnerState, RuleSet, cover_rate, ns_learning
 from .proposers import NoisyOracleProposer, OracleProposer, Proposer
 from .world_model import BasePredictor, NaivePrior
 
 _DIRS = ("east", "south", "west", "north")
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 class ProbePolicy:
@@ -77,13 +80,12 @@ class ProbePolicy:
 
     @staticmethod
     def _face_blocker(obs: Observation, step: int) -> Action:
-        from .env.world import DIR_DELTAS
-
         cells: dict[tuple[int, int], str] = {}
         for vis in obs.visible_objects:
             cells.setdefault((vis.x, vis.y), vis.type)
         for direction, (dx, dy) in DIR_DELTAS.items():
-            if cells.get((dx, dy)) not in (None, "grass", "sand"):
+            cell = cells.get((dx, dy))
+            if cell is not None and cell not in WALKABLE:
                 return Action("explore", {"direction": direction, "steps": 1})
         return Action("explore", {"direction": _DIRS[step % 4], "steps": 1})
 
@@ -303,6 +305,21 @@ def ablation_arms(limits: Sequence[int]) -> list[AblationArm]:
     return arms
 
 
+def run_trials(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
+    """`fn(*args)` for each args tuple, results in submission order.
+
+    With `workers > 1` the calls run in a spawn-context process pool, so
+    `fn` must be a top-level function and each call independent.  A spawned
+    worker starts with default logging, so it is given this process's level."""
+    if workers <= 1:
+        return [fn(*args) for args in calls]
+    spawn = multiprocessing.get_context("spawn")
+    log_setup = partial(logging.basicConfig, level=logging.getLogger().level, format=LOG_FORMAT)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn, initializer=log_setup) as pool:
+        futures = [pool.submit(fn, *args) for args in calls]
+        return [f.result() for f in futures]
+
+
 def _ablation_trial(
     base_config: WorldConfig,
     arm: AblationArm,
@@ -342,18 +359,12 @@ def run_ablation(
     if any(l < 1 for l in limits):
         raise ValueError("rule limits must be >= 1")
     arms = ablation_arms(limits)
-    cells = [(arm, seed) for arm in arms for seed in seeds]
-    args = (iterations, noise, replan_limit)
-    if workers > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            futures = [
-                pool.submit(_ablation_trial, base_config, arm, seed, *args)
-                for arm, seed in cells
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_ablation_trial(base_config, arm, seed, *args) for arm, seed in cells]
+    calls = [
+        (base_config, arm, seed, iterations, noise, replan_limit)
+        for arm in arms
+        for seed in seeds
+    ]
+    results = run_trials(_ablation_trial, calls, workers)
     table: dict[str, dict] = {}
     for a, arm in enumerate(arms):
         arm_results = results[a * len(seeds) : (a + 1) * len(seeds)]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .core import Action, Observation, Outcome
-from .dsl import EvalDiagnostics, RuleAst, evaluate_all
+from .core import Action, Observation, Outcome, has_tool_at_least
+from .dsl import EvalDiagnostics, RuleAst, evaluate_all, format_shortfall
 from .env.config import EffectiveTables, MAKEABLE, PLACEABLE, WorldConfig
 from .env.world import apply_effect
 from .graphs import KnowledgeGraph, SceneGraph
@@ -41,7 +41,7 @@ class NaivePrior:
             if rule is None:
                 return Outcome(False, f"{block} cannot be mined",
                                f"target a different block than {block}")
-            if rule.tool is not None and not self._has_tool(obs, rule.tool):
+            if not has_tool_at_least(obs.inventory, rule.tool, self.tables.tool_tiers):
                 return Outcome(False, f"mining {block} needs {rule.tool} or better",
                                f"craft {rule.tool} or a better pickaxe first")
             return Outcome(True, f"mining {block} should succeed")
@@ -52,7 +52,7 @@ class NaivePrior:
             recipe = self.tables.recipes.get(product)
             if product not in known or recipe is None:
                 return Outcome(False, f"no known way to {action.name} {product}")
-            shortfall = self._shortfall(obs, recipe)
+            shortfall = format_shortfall(recipe.needs(), recipe.platform, obs)
             if shortfall:
                 return Outcome(
                     False,
@@ -62,24 +62,6 @@ class NaivePrior:
             return Outcome(True, f"{action.name} {product} should succeed")
         # attack, sleep, explore: optimistic pass-through
         return Outcome(True, f"{action.name} should succeed")
-
-    def _has_tool(self, obs: Observation, tier: str) -> bool:
-        tiers = self.tables.tool_tiers
-        idx = tiers.index(tier)
-        return any(obs.inventory_count(t) > 0 for t in tiers[idx:])
-
-    def _shortfall(self, obs: Observation, recipe) -> list[str]:
-        missing = []
-        needs: dict[str, int] = dict(recipe.requires)
-        for material, count in recipe.consumes.items():
-            needs[material] = needs.get(material, 0) + count
-        for material, count in sorted(needs.items()):
-            have = obs.inventory_count(material)
-            if have < count:
-                missing.append(f"{material}: {count - have} more needed")
-        if recipe.platform is not None and recipe.platform not in obs.near_objects:
-            missing.append(f"{recipe.platform}: must be nearby")
-        return missing
 
 
 class ScriptedPredictor:

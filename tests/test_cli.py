@@ -190,6 +190,21 @@ def test_simulate_with_worker_pool_matches_sequential(tmp_path):
     assert (seq / "rows.json").read_bytes() == (par / "rows.json").read_bytes()
 
 
+def test_trial_pool_workers_log_at_parent_level(capfd):
+    import logging
+
+    from worldalign.experiments import run_trials
+
+    root = logging.getLogger()
+    level = root.level
+    root.setLevel(logging.INFO)
+    try:
+        run_trials(logging.getLogger("worldalign.pool").info, [("worker says %s", "hi")], 2)
+    finally:
+        root.setLevel(level)
+    assert "INFO worldalign.pool: worker says hi" in capfd.readouterr().err
+
+
 def test_backend_predictor_without_endpoint_fails_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("WORLDALIGN_BACKEND_URL", raising=False)
     code = run_cli(["simulate", *FAST, "--predictor", "backend", "--out", tmp_path / "x"])
