@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from .core import Action, Observation, Outcome, Trajectory, Transition, has_tool_at_least
@@ -114,6 +116,39 @@ def mpc_plan(
 _BONUS_GOALS = ("wood_sword", "stone_sword", "iron_sword", "sapling", "stone")
 
 
+@dataclass(frozen=True)
+class _ViewMap:
+    """One observation's view window, as the planner's movement reads it."""
+
+    seen: frozenset[tuple[int, int]]  # cells with anything visible
+    walkable: frozenset[tuple[int, int]]  # cells seen to hold open ground only
+    paths: frozenset[tuple[int, int]]  # walkable plus the agent's own cell
+
+    @staticmethod
+    def of(obs: Observation) -> "_ViewMap":
+        open_, blocked = set(), set()
+        for vis in obs.visible_objects:
+            (open_ if vis.type in WALKABLE else blocked).add((vis.x, vis.y))
+        walkable = frozenset(open_ - blocked)
+        return _ViewMap(frozenset(open_ | blocked), walkable, walkable | {(0, 0)})
+
+    @cached_property
+    def reach(self) -> tuple[int, int]:
+        """Largest |x| and |y| of a seen cell; only sweeps need it."""
+        xs = [x for x, _ in self.seen]
+        ys = [y for _, y in self.seen]
+        return max(max(xs), -min(xs)), max(max(ys), -min(ys))
+
+
+def _adjacent_cells(
+    points: set[tuple[int, int]], cells: frozenset[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """The members of `cells` in the 3x3 block around any of `points`."""
+    return {
+        (x + dx, y + dy) for x, y in points for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+    } & cells
+
+
 class ScriptedPlanner:
     """Deterministic goal-decomposition planner.
 
@@ -143,6 +178,8 @@ class ScriptedPlanner:
         self._needs_approach: set[str] = set()  # block types that must be near
         self._surface_lesson = False  # placement needs an open cell ahead
         self._last_desired: Action | None = None
+        self._hostiles = tuple(self.beliefs.hostiles())  # sorted: the first one near is attacked
+        self._view: tuple[Observation, _ViewMap] | None = None  # last observation's map
 
     # -- protocol ----------------------------------------------------------
     def propose(
@@ -273,7 +310,7 @@ class ScriptedPlanner:
         return False
 
     def _upkeep(self, obs: Observation) -> Action | None:
-        threat = [name for name in self.beliefs.hostiles() if name in obs.near_objects]
+        threat = [name for name in self._hostiles if name in obs.near_objects]
         if threat:
             return Action("attack", {"creature": threat[0], "amount": 1})
         # A modified world may have hostiles the default beliefs miss; if we
@@ -418,9 +455,7 @@ class ScriptedPlanner:
         if not targets or any(max(abs(x), abs(y)) <= 1 for x, y in targets):
             self._commit.pop(name, None)
             return None
-        cells = self._cell_types(obs)
-        walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
-        walkable.add((0, 0))
+        paths = self._view_map(obs).paths
 
         committed: tuple[int, int] | None = None
         if name in self._commit:
@@ -432,20 +467,13 @@ class ScriptedPlanner:
             else:
                 del self._commit[name]
 
-        def adjacent_goals(points: set[tuple[int, int]]) -> set[tuple[int, int]]:
-            return {
-                pos
-                for pos in walkable
-                if any(max(abs(pos[0] - tx), abs(pos[1] - ty)) <= 1 for tx, ty in points)
-            }
-
         step = None
         if committed is not None:
-            step = self._bfs_step(walkable, adjacent_goals({committed}))
+            step = self._bfs_step(paths, _adjacent_cells({committed}, paths))
             if step is None:
                 del self._commit[name]
         if step is None:
-            step = self._bfs_step(walkable, adjacent_goals(targets))
+            step = self._bfs_step(paths, _adjacent_cells(targets, paths))
             if step is None:
                 return None
             direction, steps, goal = step
@@ -460,7 +488,7 @@ class ScriptedPlanner:
 
     @staticmethod
     def _bfs_step(
-        walkable: set[tuple[int, int]], goals: set[tuple[int, int]]
+        walkable: frozenset[tuple[int, int]], goals: set[tuple[int, int]]
     ) -> tuple[str, int, tuple[int, int]] | None:
         """First move (direction, straight-run length) of a shortest path
         from the origin to any goal cell, or None."""
@@ -468,8 +496,6 @@ class ScriptedPlanner:
             return None
         if (0, 0) in goals:
             return None
-        from collections import deque
-
         prev: dict[tuple[int, int], tuple[int, int] | None] = {(0, 0): None}
         queue = deque([(0, 0)])
         found = None
@@ -478,8 +504,8 @@ class ScriptedPlanner:
             if cur in goals:
                 found = cur
                 break
-            for dx, dy in DIR_DELTAS.values():
-                nxt = (cur[0] + dx, cur[1] + dy)
+            x, y = cur
+            for nxt in ((x, y - 1), (x, y + 1), (x + 1, y), (x - 1, y)):  # DIR_DELTAS order
                 if nxt in walkable and nxt not in prev:
                     prev[nxt] = cur
                     queue.append(nxt)
@@ -499,25 +525,19 @@ class ScriptedPlanner:
         direction = {(1, 0): "east", (-1, 0): "west", (0, 1): "south", (0, -1): "north"}[(dx, dy)]
         return direction, steps, found
 
-    def _cell_types(self, obs: Observation) -> dict[tuple[int, int], set[str]]:
-        cells: dict[tuple[int, int], set[str]] = {}
-        for vis in obs.visible_objects:
-            cells.setdefault((vis.x, vis.y), set()).add(vis.type)
-        return cells
+    def _view_map(self, obs: Observation) -> _ViewMap:
+        if self._view is None or self._view[0] is not obs:
+            self._view = (obs, _ViewMap.of(obs))
+        return self._view[1]
 
     def _turn_to_open(self, obs: Observation, keep_near: str | None = None) -> Action:
         """Move one cell so the agent ends up facing an open cell, staying
         adjacent to `keep_near` (a crafting platform) when one is named."""
-        cells = self._cell_types(obs)
-
-        def open_cell(x: int, y: int) -> bool:
-            kinds = cells.get((x, y))
-            return kinds is not None and kinds <= WALKABLE
-
+        walkable = self._view_map(obs).walkable
         anchors = [
-            pos
-            for pos, kinds in cells.items()
-            if keep_near in kinds and max(abs(pos[0]), abs(pos[1])) <= 1
+            (vis.x, vis.y)
+            for vis in obs.visible_objects
+            if vis.type == keep_near and max(abs(vis.x), abs(vis.y)) <= 1
         ] if keep_near else []
 
         def keeps_anchor(dx: int, dy: int) -> bool:
@@ -527,10 +547,10 @@ class ScriptedPlanner:
 
         ranked: list[tuple[int, str]] = []
         for direction, (dx, dy) in DIR_DELTAS.items():
-            if not open_cell(dx, dy):
+            if (dx, dy) not in walkable:
                 continue
             score = 0
-            if open_cell(2 * dx, 2 * dy):
+            if (2 * dx, 2 * dy) in walkable:
                 score += 2
             if keeps_anchor(dx, dy):
                 score += 4
@@ -553,12 +573,11 @@ class ScriptedPlanner:
         self._sweep_uses += 1
         if self._sweep_uses % 8 == 0:
             self._advance_sweep()
-        cells = self._cell_types(obs)
-        walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
+        view = self._view_map(obs)
+        walkable = view.walkable
         if not walkable:
             return Action("explore", {"direction": self._sweep_dirs[self._sweep_idx], "steps": 1})
-        max_x = max(abs(x) for x, _ in cells)
-        max_y = max(abs(y) for _, y in cells)
+        max_x, max_y = view.reach
 
         def edge_cells(direction: str) -> set[tuple[int, int]]:
             if direction == "east":
@@ -571,7 +590,7 @@ class ScriptedPlanner:
 
         for turn in range(len(self._sweep_dirs)):
             direction = self._sweep_dirs[(self._sweep_idx + turn) % len(self._sweep_dirs)]
-            step = self._bfs_step(walkable | {(0, 0)}, edge_cells(direction))
+            step = self._bfs_step(view.paths, edge_cells(direction))
             if step is not None:
                 if turn:
                     self._sweep_idx = (self._sweep_idx + turn) % len(self._sweep_dirs)
@@ -770,7 +789,7 @@ def run_episode(
         real_traj = Trajectory(tuple(real_slice), config.seed, config.config_id)
         ns_learning(
             pred_traj, real_traj, state, components.rule_proposer,
-            components.learner_config, tool_tiers=config.effective().tool_tiers,
+            components.learner_config, tool_tiers=world.tables.tool_tiers,
         )
 
     while not done and target not in world.ledger.unlocks:
@@ -810,7 +829,7 @@ def run_episode(
     pred_traj = Trajectory(tuple(predicted), config.seed, config.config_id)
     rate = cover_rate(
         state.rules, state.mispredictions, state.kg, state.sg,
-        tool_tiers=config.effective().tool_tiers,
+        tool_tiers=world.tables.tool_tiers,
     )
     rates = {name: 1.0 if name in world.ledger.unlocks else 0.0 for name in ACHIEVEMENTS}
     metrics = {

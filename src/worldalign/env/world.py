@@ -32,6 +32,8 @@ from .oracle import kg_edges_for_config, rules_for_config
 
 WALKABLE = frozenset(("grass", "sand"))  # open cells: walk, spawn and place here
 DIR_DELTAS = {"north": (0, -1), "south": (0, 1), "east": (1, 0), "west": (-1, 0)}
+# The eight neighbours of a cell, in near-cell order: row by row, then column.
+NEAR_OFFSETS = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy)
 
 DECAY_PERIOD = 25  # food/drink/energy each lose one point this often
 STARVE_PERIOD = 5  # health loss cadence once any need hits zero
@@ -68,6 +70,14 @@ class _Creature:
     y: int
 
 
+class _Interned(dict):
+    """(type, dx, dy) -> the one VisibleObject with those fields."""
+
+    def __missing__(self, key: tuple[str, int, int]) -> VisibleObject:
+        obj = self[key] = VisibleObject(*key)
+        return obj
+
+
 class MarsWorld:
     """One environment instance; single-threaded, externally synchronized."""
 
@@ -75,6 +85,9 @@ class MarsWorld:
         check_solvable(config)
         self.config = config
         self.tables: EffectiveTables = config.effective()
+        self._hostiles = frozenset(self.tables.hostiles())
+        # Observations share one immutable VisibleObject per (type, dx, dy).
+        self._interned = _Interned()
         self.reset()
 
     # -- lifecycle -------------------------------------------------------
@@ -109,7 +122,8 @@ class MarsWorld:
         self.facing = "south"
         self.status = Status(9, 9, 9, 9)
         self.inventory: dict[str, int] = {}
-        self.creatures: list[_Creature] = []
+        self.creatures: list[_Creature] = []  # wander order
+        self.occupancy: dict[tuple[int, int], _Creature] = {}  # the same creatures by cell
         spawn_rng = random.Random(f"{self.config.seed}:creatures")
         spots = [
             (x, y)
@@ -126,7 +140,7 @@ class MarsWorld:
             for _ in range(count):
                 if cursor < len(spots):
                     x, y = spots[cursor]
-                    self.creatures.append(_Creature(kind, x, y))
+                    self.add_creature(kind, x, y)
                     cursor += 1
         self._creature_rng = random.Random(f"{self.config.seed}:wander")
         self.ledger = AchievementLedger()
@@ -136,44 +150,45 @@ class MarsWorld:
         self.dead = False
         return self.observe()
 
+    def add_creature(self, kind: str, x: int, y: int) -> None:
+        creature = _Creature(kind, x, y)
+        self.creatures.append(creature)
+        self.occupancy[(x, y)] = creature
+
     # -- geometry helpers -------------------------------------------------
     def _in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.config.grid_size and 0 <= y < self.config.grid_size
 
     def _creature_at(self, x: int, y: int) -> _Creature | None:
-        for creature in self.creatures:
-            if creature.x == x and creature.y == y:
-                return creature
-        return None
+        return self.occupancy.get((x, y))
 
     def _cell_name(self, x: int, y: int) -> str:
         creature = self._creature_at(x, y)
         return creature.kind if creature else self.grid[y][x]
 
     def _near_cells(self) -> list[tuple[int, int]]:
-        cells = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                x, y = self.agent_x + dx, self.agent_y + dy
-                if self._in_bounds(x, y):
-                    cells.append((x, y))
-        cells.sort(key=lambda c: (max(abs(c[0] - self.agent_x), abs(c[1] - self.agent_y)), c[1], c[0]))
-        return cells
+        ax, ay, size = self.agent_x, self.agent_y, self.config.grid_size
+        return [
+            (ax + dx, ay + dy)
+            for dx, dy in NEAR_OFFSETS
+            if 0 <= ax + dx < size and 0 <= ay + dy < size
+        ]
 
     def observe(self) -> Observation:
         rows, cols = self.config.view
+        ax, ay, size = self.agent_x, self.agent_y, self.config.grid_size
+        interned, occupancy = self._interned, self.occupancy
         visible: list[VisibleObject] = []
-        for dy in range(-(rows // 2), rows // 2 + 1):
-            for dx in range(-(cols // 2), cols // 2 + 1):
-                x, y = self.agent_x + dx, self.agent_y + dy
-                if not self._in_bounds(x, y) or (dx == 0 and dy == 0):
+        xs = range(max(0, ax - cols // 2), min(size, ax + cols // 2 + 1))
+        for y in range(max(0, ay - rows // 2), min(size, ay + rows // 2 + 1)):
+            row, dy = self.grid[y], y - ay
+            for x in xs:
+                if dy == 0 and x == ax:
                     continue
-                visible.append(VisibleObject(self.grid[y][x], dx, dy))
-                creature = self._creature_at(x, y)
-                if creature:
-                    visible.append(VisibleObject(creature.kind, dx, dy))
+                visible.append(interned[(row[x], x - ax, dy)])
+                creature = occupancy.get((x, y))
+                if creature is not None:
+                    visible.append(interned[(creature.kind, x - ax, dy)])
         # both the creature and the terrain it stands on count as near
         near = set()
         for x, y in self._near_cells():
@@ -262,6 +277,7 @@ class MarsWorld:
             creature = self._creature_at(x, y)
             if creature and creature.kind == target:
                 self.creatures.remove(creature)
+                del self.occupancy[(x, y)]
                 self.ledger.unlock(f"kill_{target}", self.step_count)
                 self._eat(traits)
                 hits += 1
@@ -285,9 +301,8 @@ class MarsWorld:
             self._change_health(traits.on_eat_health_delta)
 
     def _do_sleep(self, action: Action) -> tuple[bool, str]:
-        hostiles = set(self.tables.hostiles())
         near_kinds = {self._cell_name(x, y) for x, y in self._near_cells()}
-        threats = sorted(hostiles & near_kinds)
+        threats = sorted(self._hostiles & near_kinds)
         if threats:
             return False, f"too dangerous to sleep: {', '.join(threats)} nearby"
         self._set_status(energy=9)
@@ -386,14 +401,15 @@ class MarsWorld:
                     and not self._creature_at(nx, ny)
                     and (nx, ny) != (self.agent_x, self.agent_y)
                 ):
+                    del self.occupancy[(creature.x, creature.y)]
                     creature.x, creature.y = nx, ny
+                    self.occupancy[(nx, ny)] = creature
                     break
 
     def _apply_hostile_damage(self) -> None:
-        hostiles = set(self.tables.hostiles())
         for x, y in self._near_cells():
             creature = self._creature_at(x, y)
-            if creature and creature.kind in hostiles:
+            if creature and creature.kind in self._hostiles:
                 self._change_health(-1)
 
     def _apply_decay(self) -> None:

@@ -1,19 +1,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldalign.agent import (
     Checkpoint,
     EpisodeComponents,
     EpisodeInterrupted,
+    PlanningContext,
     ScriptedPlanner,
+    _adjacent_cells,
+    _ViewMap,
     mpc_plan,
     run_episode,
     score,
 )
 from worldalign.core import Action
 from worldalign.dsl import parse
-from worldalign.env import make_config
+from worldalign.env import CONFIG_IDS, MarsWorld, make_config
+from worldalign.env.world import WALKABLE
 from worldalign.graphs import KnowledgeGraph, SceneGraph, KgEdge, kg_merge
 from worldalign.learner import LearnerConfig, LearnerState, RuleEntry, RuleSet
 from worldalign.proposers import OracleProposer, ProposerUnavailable
@@ -230,3 +235,78 @@ def test_coverage_curve_with_aligned_predictor_is_flagged_zeros(monkeypatch):
     curve = experiments.coverage_curve(config, OracleProposer(config), iterations=2)
     assert not curve.defined
     assert all(v == 0.0 for v in curve.series)
+
+
+# -- one view map per observation ------------------------------------------------
+
+_VETOES = (
+    ("wood: 2 more needed, table: must be nearby", "Gather wood first."),
+    ("no tree within reach", "Explore to find tree and stand next to it."),
+    ("cannot place table: the cell ahead is blocked", "The cell ahead must be open."),
+    ("too dangerous to sleep: zombie nearby", "Clear the threat first."),
+    ("stone: 1 more needed", "Craft stone_pickaxe first."),
+    ("the prediction disagrees", ""),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    config_id=st.sampled_from(CONFIG_IDS),
+    seed=st.integers(0, 50),
+    vetoes=st.lists(
+        st.lists(st.sampled_from(range(len(_VETOES))), max_size=3), min_size=10, max_size=60
+    ),
+)
+def test_memoised_view_map_proposes_like_a_fresh_one(config_id, seed, vetoes):
+    config = make_config(config_id, seed=seed)
+    world = MarsWorld(config)
+    memo, fresh = ScriptedPlanner(config), ScriptedPlanner(config)
+    context = PlanningContext(KnowledgeGraph.empty(), SceneGraph.initial(world.locations()))
+    obs = world.observe()
+    for step_vetoes in vetoes:
+        feedback: list[str] = []
+        suggestions: list[str] = []
+        for veto in (None, *step_vetoes):
+            if veto is not None:
+                feedback.append(_VETOES[veto][0])
+                suggestions.append(_VETOES[veto][1])
+            fresh._view = None
+            action = memo.propose(obs, list(feedback), list(suggestions), context)
+            assert fresh.propose(obs, list(feedback), list(suggestions), context) == action
+        next_obs, _, done, outcome = world.step(action)
+        memo.observe_result(action, outcome, next_obs)
+        fresh.observe_result(action, outcome, next_obs)
+        obs = next_obs
+        if done:
+            break
+
+
+_window_cells = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    visible=st.lists(
+        st.tuples(st.sampled_from(["grass", "sand", "tree", "water", "zombie", "cow"]), _window_cells),
+        min_size=1,
+        max_size=80,
+    ),
+    targets=st.sets(_window_cells, min_size=1, max_size=4),
+)
+def test_view_map_matches_cell_type_scan(visible, targets):
+    obs = make_obs(visible=tuple((kind, x, y) for kind, (x, y) in visible))
+    cells: dict[tuple[int, int], set[str]] = {}
+    for vis in obs.visible_objects:
+        cells.setdefault((vis.x, vis.y), set()).add(vis.type)
+    walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
+    view = _ViewMap.of(obs)
+    assert view.walkable == walkable
+    assert view.paths == walkable | {(0, 0)}
+    assert view.reach == (max(abs(x) for x, _ in cells), max(abs(y) for _, y in cells))
+    paths = walkable | {(0, 0)}
+    scan = {
+        pos
+        for pos in paths
+        if any(max(abs(pos[0] - tx), abs(pos[1] - ty)) <= 1 for tx, ty in targets)
+    }
+    assert _adjacent_cells(targets, view.paths) == scan

@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from worldalign.core import Action
+from worldalign.core import Action, Observation, VisibleObject
 from worldalign.dsl import parse
 from worldalign.env import (
     CONFIG_IDS,
@@ -18,6 +19,7 @@ from worldalign.env import (
     replay,
     rules_for_config,
 )
+from worldalign.env.world import CREATURE_SPAWNS
 from worldalign.experiments import run_learning_trial, standard_components
 
 GOLDEN = Path(__file__).parent / "data" / "reset_seed7.json"
@@ -204,3 +206,100 @@ def test_solvability_scripted_policy_completes_chain_within_budget():
         steps = [e.metrics["steps"] for e in trial.episodes if e.metrics["task_complete"]]
         assert trial.any_task_complete(), config_id
         assert min(steps) <= 400
+
+
+# -- indexed grid against the scan it replaced --------------------------------
+
+def _scan_creature_at(world, x, y):
+    for creature in world.creatures:
+        if creature.x == x and creature.y == y:
+            return creature
+    return None
+
+
+def _scan_cell_name(world, x, y):
+    creature = _scan_creature_at(world, x, y)
+    return creature.kind if creature else world.grid[y][x]
+
+
+def _sorted_near_cells(world):
+    cells = []
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dx == 0 and dy == 0:
+                continue
+            x, y = world.agent_x + dx, world.agent_y + dy
+            if world._in_bounds(x, y):
+                cells.append((x, y))
+    cells.sort(key=lambda c: (max(abs(c[0] - world.agent_x), abs(c[1] - world.agent_y)), c[1], c[0]))
+    return cells
+
+
+def _reference_observe(world):
+    """The observation as the scan-based world built it: every cell's
+    creature found by a pass over the creature list, fresh VisibleObjects."""
+    rows, cols = world.config.view
+    visible = []
+    for dy in range(-(rows // 2), rows // 2 + 1):
+        for dx in range(-(cols // 2), cols // 2 + 1):
+            x, y = world.agent_x + dx, world.agent_y + dy
+            if not world._in_bounds(x, y) or (dx == 0 and dy == 0):
+                continue
+            visible.append(VisibleObject(world.grid[y][x], dx, dy))
+            creature = _scan_creature_at(world, x, y)
+            if creature:
+                visible.append(VisibleObject(creature.kind, dx, dy))
+    near = set()
+    for x, y in _sorted_near_cells(world):
+        near.add(_scan_cell_name(world, x, y))
+        near.add(world.grid[y][x])
+    fx, fy = world._front()
+    in_front = _scan_cell_name(world, fx, fy) if world._in_bounds(fx, fy) else "void"
+    return Observation(
+        position=world.grid[world.agent_y][world.agent_x],
+        in_front=in_front,
+        visible_objects=tuple(visible),
+        near_objects=frozenset(near),
+        status=world.status,
+        inventory=dict(world.inventory),
+    )
+
+
+_DIRECTIONS = ("north", "south", "east", "west")
+_world_moves = st.one_of(
+    st.tuples(st.just("explore"), st.sampled_from(_DIRECTIONS), st.integers(1, 3)),
+    st.tuples(st.just("attack"), st.sampled_from([k for k, _ in CREATURE_SPAWNS]), st.integers(1, 2)),
+    st.tuples(st.just("sleep"), st.just(""), st.just(0)),
+)
+
+
+def _world_action(move):
+    name, arg, amount = move
+    if name == "explore":
+        return Action("explore", {"direction": arg, "steps": amount})
+    if name == "attack":
+        return Action("attack", {"creature": arg, "amount": amount})
+    return Action("sleep", {})
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    config_id=st.sampled_from(CONFIG_IDS),
+    seed=st.integers(0, 50),
+    ambush=st.lists(st.sampled_from(range(8)), max_size=3, unique=True),
+    moves=st.lists(_world_moves, min_size=20, max_size=60),
+)
+@example(config_id="default", seed=1, ambush=[4], moves=[("attack", "cow", 1)] * 20)
+def test_indexed_world_matches_creature_scan(config_id, seed, ambush, moves):
+    world = MarsWorld(make_config(config_id, seed=seed))
+    kinds = [k for k, _ in CREATURE_SPAWNS if k in world.tables.survival]
+    # Creatures placed next to the agent give the attacks something to kill.
+    cells = _sorted_near_cells(world)
+    for i, slot in enumerate(ambush):
+        world.add_creature(kinds[i % len(kinds)], *cells[slot])
+    for move in moves:
+        world.step(_world_action(move))
+        assert world._near_cells() == _sorted_near_cells(world)
+        assert world.observe() == _reference_observe(world)
+        assert world.occupancy == {(c.x, c.y): c for c in world.creatures}
+        assert len(world.occupancy) == len(world.creatures)

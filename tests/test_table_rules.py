@@ -27,7 +27,6 @@ from worldalign.env import (
 )
 from worldalign.env.config import DEFAULT_RECIPES
 from worldalign.env.oracle import kg_edges_for_config, rules_for_config
-from worldalign.env.world import _Creature
 from worldalign.graphs import KnowledgeGraph, SceneGraph, kg_merge
 from worldalign.world_model import NaivePrior, map_execute
 
@@ -119,7 +118,7 @@ def characterisation_records():
                     )
         ambush = _clone(bare)
         hostile = config.effective().hostiles()[0]
-        ambush.creatures.append(_Creature(hostile, ambush.agent_x + 1, ambush.agent_y))
+        ambush.add_creature(hostile, ambush.agent_x + 1, ambush.agent_y)
         records.append(
             _record(ambush, config, prior, rules, kg, Action("sleep", {}), {})
         )
