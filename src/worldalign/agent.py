@@ -687,43 +687,6 @@ class EpisodeComponents:
     belief_tables: EffectiveTables | None = None  # effect tables for map_execute
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Everything needed to resume an interrupted episode by replay."""
-
-    config_id: str
-    seed: int
-    target: str | None
-    actions: tuple[Action, ...]
-    rules: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "seed": self.seed,
-            "target": self.target,
-            "actions": [a.to_json() for a in self.actions],
-            "rules": list(self.rules),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Checkpoint":
-        return Checkpoint(
-            config_id=str(data["config_id"]),
-            seed=int(data["seed"]),
-            target=data.get("target"),
-            actions=tuple(Action.from_json(a) for a in data["actions"]),
-            rules=tuple(data["rules"]),
-        )
-
-
-class EpisodeInterrupted(RuntimeError):
-    def __init__(self, checkpoint: Checkpoint, cause: Exception):
-        super().__init__(f"episode interrupted: {cause}")
-        self.checkpoint = checkpoint
-        self.cause = cause
-
-
 @dataclass
 class EpisodeResult:
     real: Trajectory
@@ -738,15 +701,13 @@ def run_episode(
     components: EpisodeComponents,
     *,
     target: str | None = TARGET_CHAIN_ACHIEVEMENT,
-    resume: Checkpoint | None = None,
 ) -> EpisodeResult:
     """One plan/act episode with optional learning refresh.
 
     Per step: MPC plans an action, the environment executes it, both
     trajectories grow.  Learning runs per step or once at episode end,
-    per the configured cadence.  A proposer failure raises
-    EpisodeInterrupted carrying a replay checkpoint; partial learning
-    progress stays in the state.
+    per the configured cadence.  A proposer or planner failure propagates
+    as ProposerUnavailable; partial learning progress stays in the state.
     """
     world = MarsWorld(config)
     tables = components.belief_tables or config.base_tables()
@@ -756,33 +717,9 @@ def run_episode(
     obs = world.observe()
     real: list[Transition] = []
     predicted: list[Transition] = []
-    actions: list[Action] = []
     total_reward = 0.0
     total_proposals = 0
     done = False
-
-    if resume is not None:
-        # Replay the checkpointed prefix; predictions were not part of the
-        # checkpoint, so the replayed slice counts as correctly predicted.
-        for action in resume.actions:
-            next_obs, reward, done, outcome = world.step(action)
-            real.append(Transition(obs, action, outcome, next_obs))
-            predicted.append(Transition(obs, action, outcome, next_obs))
-            actions.append(action)
-            total_reward += reward
-            obs = next_obs
-            if done:
-                break
-
-    def interrupted(cause: Exception) -> EpisodeInterrupted:
-        checkpoint = Checkpoint(
-            config_id=config.config_id,
-            seed=config.seed,
-            target=target,
-            actions=tuple(actions),
-            rules=tuple(e.source for e in state.rules.entries),
-        )
-        return EpisodeInterrupted(checkpoint, cause)
 
     def learn(pred_slice: list[Transition], real_slice: list[Transition]) -> None:
         pred_traj = Trajectory(tuple(pred_slice), config.seed, config.config_id)
@@ -793,37 +730,27 @@ def run_episode(
         )
 
     while not done and target not in world.ledger.unlocks:
-        try:
-            plan = mpc_plan(
-                obs, state.rules, components.predictor, components.planner,
-                state.kg, state.sg,
-                tables=tables,
-                replan_limit=components.replan_limit,
-                diagnostics=state.diagnostics,
-            )
-        except ProposerUnavailable as exc:
-            raise interrupted(exc) from exc
+        plan = mpc_plan(
+            obs, state.rules, components.predictor, components.planner,
+            state.kg, state.sg,
+            tables=tables,
+            replan_limit=components.replan_limit,
+            diagnostics=state.diagnostics,
+        )
         next_obs, reward, done, outcome = world.step(plan.action)
         real.append(Transition(obs, plan.action, outcome, next_obs))
         predicted.append(Transition(obs, plan.action, plan.predicted, plan.next_obs_estimate))
-        actions.append(plan.action)
         total_proposals += plan.replan_count
         total_reward += reward
         observe = getattr(components.planner, "observe_result", None)
         if observe is not None:
             observe(plan.action, outcome, next_obs)
         if components.cadence == "step" and components.rule_proposer is not None:
-            try:
-                learn(predicted[-1:], real[-1:])
-            except ProposerUnavailable as exc:
-                raise interrupted(exc) from exc
+            learn(predicted[-1:], real[-1:])
         obs = next_obs
 
     if components.cadence == "episode" and components.rule_proposer is not None and real:
-        try:
-            learn(predicted, real)
-        except ProposerUnavailable as exc:
-            raise interrupted(exc) from exc
+        learn(predicted, real)
 
     real_traj = Trajectory(tuple(real), config.seed, config.config_id)
     pred_traj = Trajectory(tuple(predicted), config.seed, config.config_id)

@@ -166,14 +166,6 @@ def render_curve(data: dict, path: str) -> str:
     return "\n".join(lines)
 
 
-def render_checkpoint(data: dict, path: str) -> str:
-    _require(data, "actions", path)
-    return (
-        f"resumable checkpoint: config {data.get('config_id')!r} seed {data.get('seed')}, "
-        f"{len(data['actions'])} actions executed, {len(data.get('rules', []))} rules held"
-    )
-
-
 def render_trajectory(text: str, path: str) -> str:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -229,6 +221,4 @@ def inspect_path(path: str | Path) -> str:
         return render_manifest(data, name)
     if "rows" in data:
         return render_summary(data, name)
-    if "actions" in data:
-        return render_checkpoint(data, name)
     raise SchemaError(name, "unrecognized artifact schema")

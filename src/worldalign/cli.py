@@ -13,9 +13,12 @@ import logging
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
-from .agent import EpisodeInterrupted, run_episode, score
+# `run_episode` is not called here (run_learning_trial owns the episode loop),
+# but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
+from .agent import run_episode, score
 from .artifacts import SchemaError, inspect_path, write_json, write_text
 from .core import DEFAULT_TOOL_TIERS, Outcome, Transition
 from .env.config import (
@@ -28,23 +31,16 @@ from .env.config import (
 from .experiments import (
     LOG_FORMAT,
     coverage_curve,
-    episode_seed,
     mean_std,
     run_ablation,
+    run_learning_trial,
     run_trials,
     standard_components,
 )
 from .graphs import KnowledgeGraph
-from .learner import (
-    LearnerState,
-    RuleSet,
-    build_matrix,
-    prune_trace,
-)
-from .proposers import NoisyOracleProposer, OracleProposer
+from .learner import RuleSet, build_matrix, prune_trace
+from .proposers import NoisyOracleProposer, OracleProposer, ProposerUnavailable
 from .world_model import BackendUnavailable
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -77,8 +73,9 @@ class ExperimentSpec:
             )
         load_config(self.config_id)  # raises UnsolvableConfig early
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    def to_json(self, fields: Sequence[str] | None = None) -> dict:
+        data = asdict(self)
+        return data if fields is None else {name: data[name] for name in fields}
 
 
 def _target_product(target: str | None) -> str:
@@ -90,7 +87,6 @@ def _target_product(target: str | None) -> str:
 def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
     """Top-level worker: runs one trial and writes its artifacts."""
     spec = ExperimentSpec(**spec_json)
-    config = load_config(spec.config_id)
     trial_seed = spec.seed + trial_index
     build = standard_components(
         rule_proposer_kind=spec.proposer,
@@ -105,18 +101,9 @@ def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
     )
     trial_dir = Path(spec.out) / f"trial_{trial_index:02d}"
     rows = []
-    state: LearnerState | None = None
-    for iteration in range(spec.iterations):
-        episode_config = config.with_seed(episode_seed(trial_seed, iteration))
-        components = build(episode_config)
-        if state is None:
-            state = LearnerState(rules=RuleSet((), components.learner_config.limit))
+
+    def write_iteration(iteration, episode_config, result, state) -> None:
         iter_dir = trial_dir / f"iter_{iteration:02d}"
-        try:
-            result = run_episode(episode_config, state, components, target=spec.target)
-        except EpisodeInterrupted as exc:
-            write_json(iter_dir / "checkpoint.json", exc.checkpoint.to_json())
-            raise
         write_text(iter_dir / "trajectory.ndjson", result.real.to_ndjson())
         write_text(iter_dir / "predicted.ndjson", result.predicted.to_ndjson())
         write_json(iter_dir / "metrics.json", result.metrics)
@@ -125,7 +112,7 @@ def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
         write_json(iter_dir / "sg.json", state.sg.to_json())
         matrix = build_matrix(
             state.rules.entries, state.mispredictions, state.kg, state.sg,
-            tool_tiers=episode_config.effective().tool_tiers,
+            tool_tiers=episode_config.tool_tiers,
         )
         coverage_doc = matrix.to_json()
         coverage_doc["selection"] = [
@@ -134,6 +121,11 @@ def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
         coverage_doc["limit"] = spec.rule_limit
         write_json(iter_dir / "coverage.json", coverage_doc)
         rows.append({"trial": trial_index, "iteration": iteration, **result.metrics})
+
+    run_learning_trial(
+        load_config(spec.config_id), trial_seed, spec.iterations, build,
+        target=spec.target, on_episode=write_iteration,
+    )
     return {"trial": trial_index, "rows": rows}
 
 
@@ -189,7 +181,7 @@ def cmd_ablate_limit(spec: ExperimentSpec, limits: list[int]) -> int:
     out = Path(spec.out)
     write_json(out / "manifest.json", {
         "version": __version__,
-        "spec": {**spec.to_json(), "limits": limits},
+        "spec": {**spec.to_json(COMMAND_FIELDS["ablate-limit"]), "limits": limits},
     })
     write_json(out / "ablation.json", {"arms": table})
     print(f"{'arm':<14}{'reward':>18}{'score':>18}")
@@ -216,7 +208,10 @@ def cmd_coverage_curve(spec: ExperimentSpec) -> int:
         "final_rules": list(curve.final_rule_ids),
     }
     out = Path(spec.out)
-    write_json(out / "manifest.json", {"version": __version__, "spec": spec.to_json()})
+    write_json(out / "manifest.json", {
+        "version": __version__,
+        "spec": spec.to_json(COMMAND_FIELDS["coverage-curve"]),
+    })
     write_json(out / "curve.json", doc)
     for i, value in enumerate(curve.series):
         flag = "" if curve.defined else "  (no mispredictions: flagged zero)"
@@ -271,6 +266,38 @@ def cmd_prune(
     return 0
 
 
+# Every experiment flag, keyed by the ExperimentSpec field it sets.
+FLAGS: dict[str, tuple[str, dict]] = {
+    "config_id": ("--config", {"default": "default", "metavar": "CONFIG",
+                               "help": "config id or JSON path"}),
+    "seed": ("--seed", {"type": int, "default": 1}),
+    "out": ("--out", {"default": None, "help": "output directory"}),
+    "trials": ("--trials", {"type": int, "default": 1}),
+    "iterations": ("--iterations", {"type": int, "default": 1}),
+    "rule_limit": ("--rule-limit", {"type": int, "default": 6}),
+    "replan_limit": ("--replan-limit", {"type": int, "default": 3}),
+    "cadence": ("--cadence", {"choices": ("episode", "step"), "default": "episode"}),
+    "proposer": ("--proposer", {"choices": ("oracle", "noisy", "backend", "none"),
+                                "default": "oracle"}),
+    "predictor": ("--predictor", {"choices": ("naive", "backend"), "default": "naive"}),
+    "planner": ("--planner", {"choices": ("scripted", "backend"), "default": "scripted"}),
+    "noise": ("--noise", {"type": float, "default": 0.3}),
+    "target": ("--target", {
+        "default": TARGET_CHAIN_ACHIEVEMENT,
+        "help": "achievement ending the episode ('none' to run the full budget)",
+    }),
+    "workers": ("--workers", {"type": int, "default": 1}),
+}
+# The spec fields each experiment command reads.  A command accepts no other
+# flag, and its manifest echoes only these.
+COMMAND_FIELDS: dict[str, tuple[str, ...]] = {
+    "simulate": tuple(FLAGS),
+    "ablate-limit": ("config_id", "seed", "out", "trials", "iterations",
+                     "replan_limit", "noise", "workers"),
+    "coverage-curve": ("config_id", "seed", "out", "iterations", "proposer", "noise"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="worldalign",
@@ -279,34 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default="default", help="config id or JSON path")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--iterations", type=int, default=1)
-        p.add_argument("--rule-limit", type=int, default=6)
-        p.add_argument("--replan-limit", type=int, default=3)
-        p.add_argument("--cadence", choices=("episode", "step"), default="episode")
-        p.add_argument("--proposer", choices=("oracle", "noisy", "backend", "none"),
-                       default="oracle")
-        p.add_argument("--predictor", choices=("naive", "backend"), default="naive")
-        p.add_argument("--planner", choices=("scripted", "backend"), default="scripted")
-        p.add_argument("--noise", type=float, default=0.3)
-        p.add_argument("--target", default=TARGET_CHAIN_ACHIEVEMENT,
-                       help="achievement ending the episode ('none' to run the full budget)")
-        p.add_argument("--workers", type=int, default=1)
+    def add_experiment(command: str, help_text: str, **overrides: dict) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help_text)
+        for field in COMMAND_FIELDS[command]:
+            flag, kwargs = FLAGS[field]
+            p.add_argument(flag, dest=field, **{**kwargs, **overrides.get(field, {})})
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run learning episodes and write artifacts")
-    add_common(p_sim)
-
-    p_abl = sub.add_parser("ablate-limit", help="compare rule-limit arms plus no-pruning")
-    add_common(p_abl)
+    add_experiment("simulate", "run learning episodes and write artifacts")
+    p_abl = add_experiment("ablate-limit", "compare rule-limit arms plus no-pruning")
     p_abl.add_argument("--limits", default="6,5,3,1",
                        help="comma-separated rule limits")
-
-    p_curve = sub.add_parser("coverage-curve", help="cover rate over learning iterations")
-    add_common(p_curve)
+    add_experiment("coverage-curve", "cover rate over learning iterations",
+                   proposer={"choices": ("oracle", "noisy")})
 
     p_inspect = sub.add_parser("inspect", help="pretty-print any artifact file")
     p_inspect.add_argument("path")
@@ -322,23 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace, default_out: str) -> ExperimentSpec:
-    target = None if args.target in ("none", "") else args.target
-    return ExperimentSpec(
-        config_id=args.config,
-        seed=args.seed,
-        trials=args.trials,
-        iterations=args.iterations,
-        out=args.out or default_out,
-        rule_limit=args.rule_limit,
-        replan_limit=args.replan_limit,
-        cadence=args.cadence,
-        proposer=args.proposer,
-        predictor=args.predictor,
-        planner=args.planner,
-        noise=args.noise,
-        target=target,
-        workers=args.workers,
-    )
+    values = {field: getattr(args, field) for field in COMMAND_FIELDS[args.command]}
+    values["out"] = values["out"] or default_out
+    if values.get("target") in ("none", ""):
+        values["target"] = None
+    return ExperimentSpec(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_inspect(args.path)
         if args.command == "prune":
             return cmd_prune(args.rules, args.transitions, args.limit, args.out, args.kg)
-    except (ValueError, UnsolvableConfig, SchemaError, EpisodeInterrupted,
+    except (ValueError, UnsolvableConfig, SchemaError, ProposerUnavailable,
             BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

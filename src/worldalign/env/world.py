@@ -28,7 +28,6 @@ from .config import (
     WorldConfig,
     check_solvable,
 )
-from .oracle import kg_edges_for_config, rules_for_config
 
 WALKABLE = frozenset(("grass", "sand"))  # open cells: walk, spawn and place here
 DIR_DELTAS = {"north": (0, -1), "south": (0, 1), "east": (1, 0), "west": (-1, 0)}
@@ -439,15 +438,6 @@ class MarsWorld:
     def _set_status(self, **kwargs: int) -> None:
         self.status = replace(self.status, **kwargs)
 
-    # -- privileged oracle surface ----------------------------------------------
-    def ground_truth_rules(self) -> list[str]:
-        """Complete rule set logically equivalent to the active tables.
-        Privileged: intended for the oracle proposer and tests only."""
-        return rules_for_config(self.config)
-
-    def ground_truth_kg_edges(self):
-        return kg_edges_for_config(self.config)
-
     def locations(self) -> list[str]:
         """Location vocabulary for scene-graph initialization."""
         return sorted(self.tables.terrain)
@@ -516,8 +506,8 @@ def apply_effect(
 
 
 def replay(config: WorldConfig, actions: list[Action]) -> tuple[MarsWorld, Trajectory]:
-    """Rebuild a world by replaying actions from reset; used for resumable
-    checkpoints and determinism tests."""
+    """Rebuild a world by replaying actions from reset; used by determinism
+    tests."""
     world = MarsWorld(config)
     obs = world.observe()
     transitions = []

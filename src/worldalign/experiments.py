@@ -149,7 +149,7 @@ def coverage_curve(
 
     state = LearnerState(rules=RuleSet((), learner_config.limit))
     state.sg = SceneGraph.initial(MarsWorld(config).locations())
-    tiers = config.effective().tool_tiers
+    tiers = config.tool_tiers
     series = [0.0]
     for i in range(iterations):
         lo, hi = i * window, (i + 1) * window
@@ -170,6 +170,7 @@ def coverage_curve(
 
 
 ComponentBuilder = Callable[[WorldConfig], EpisodeComponents]
+EpisodeHook = Callable[[int, WorldConfig, EpisodeResult, LearnerState], None]
 
 
 def standard_components(
@@ -269,9 +270,13 @@ def run_learning_trial(
     build: ComponentBuilder,
     *,
     target: str | None = TARGET_CHAIN_ACHIEVEMENT,
+    on_episode: EpisodeHook | None = None,
 ) -> TrialResult:
     """Run `iterations` episodes with shared learner state; each episode gets
-    a fresh world layout derived from the trial seed."""
+    a fresh world layout derived from the trial seed.
+
+    `on_episode(iteration, config, result, state)` runs after each episode,
+    before the next starts, so what it writes survives a later failure."""
     state: LearnerState | None = None
     episodes: list[EpisodeResult] = []
     for i in range(iterations):
@@ -279,7 +284,10 @@ def run_learning_trial(
         components = build(config)
         if state is None:
             state = LearnerState(rules=RuleSet((), components.learner_config.limit))
-        episodes.append(run_episode(config, state, components, target=target))
+        result = run_episode(config, state, components, target=target)
+        episodes.append(result)
+        if on_episode is not None:
+            on_episode(i, config, result, state)
     assert state is not None
     return TrialResult(episodes, state)
 

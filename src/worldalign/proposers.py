@@ -16,7 +16,7 @@ from .env.oracle import kg_edges_for_config, rules_for_config
 
 
 class ProposerUnavailable(RuntimeError):
-    """The proposer cannot answer; the episode should checkpoint."""
+    """The proposer cannot answer."""
 
 
 class Proposer(Protocol):

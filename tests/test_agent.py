@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from worldalign.agent import (
-    Checkpoint,
     EpisodeComponents,
-    EpisodeInterrupted,
     PlanningContext,
     ScriptedPlanner,
     _adjacent_cells,
@@ -182,7 +180,7 @@ def test_episode_step_cadence_learns_every_step():
     assert state.iteration == result.metrics["steps"]
 
 
-def test_proposer_failure_checkpoints_episode():
+def test_proposer_failure_propagates_from_episode():
     config = make_config("default", seed=21)
 
     class FlakyPlanner(ScriptedPlanner):
@@ -200,30 +198,9 @@ def test_proposer_failure_checkpoints_episode():
         rule_proposer=None,
     )
     state = LearnerState(rules=RuleSet((), 6))
-    with pytest.raises(EpisodeInterrupted) as err:
+    with pytest.raises(ProposerUnavailable, match="backend down"):
         run_episode(config, state, components)
-    checkpoint = err.value.checkpoint
-    assert checkpoint.config_id == "default"
-    assert len(checkpoint.actions) == 5
-    assert Checkpoint.from_json(checkpoint.to_json()) == checkpoint
-
-
-def test_checkpoint_resume_continues_episode():
-    config = make_config("default", seed=21)
-    state = LearnerState(rules=RuleSet((), 6))
-    full = run_episode(config, state, _components(config, proposer_kind="none"))
-
-    # rebuild from a checkpoint holding the first 10 actions
-    checkpoint = Checkpoint(
-        config_id="default", seed=21, target="make_iron_pickaxe",
-        actions=tuple(t.action for t in full.real.transitions[:10]), rules=(),
-    )
-    resumed_state = LearnerState(rules=RuleSet((), 6))
-    resumed = run_episode(
-        config, resumed_state, _components(config, proposer_kind="none"), resume=checkpoint
-    )
-    assert resumed.real.transitions[:10] == full.real.transitions[:10]
-    assert resumed.metrics["task_complete"] == full.metrics["task_complete"]
+    assert FlakyPlanner.calls == 6
 
 
 def test_coverage_curve_with_aligned_predictor_is_flagged_zeros(monkeypatch):

@@ -212,6 +212,84 @@ def test_backend_predictor_without_endpoint_fails_cleanly(tmp_path, capsys, monk
     assert "backend" in capsys.readouterr().err.lower()
 
 
+# Flags each command does not read; argparse must reject them.
+UNREAD_FLAGS = [
+    *(("ablate-limit", flag, value) for flag, value in (
+        ("--rule-limit", "3"), ("--cadence", "step"), ("--proposer", "noisy"),
+        ("--predictor", "naive"), ("--planner", "scripted"), ("--target", "none"),
+    )),
+    *(("coverage-curve", flag, value) for flag, value in (
+        ("--trials", "2"), ("--rule-limit", "3"), ("--replan-limit", "2"),
+        ("--cadence", "step"), ("--predictor", "naive"), ("--planner", "scripted"),
+        ("--target", "none"), ("--workers", "2"),
+    )),
+    # coverage-curve runs the oracle or the noisy oracle, nothing else
+    ("coverage-curve", "--proposer", "none"),
+    ("coverage-curve", "--proposer", "backend"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_command_rejects_flags_it_does_not_read(tmp_path, command, flag, value):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *FAST, flag, value, "--out", out])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_manifest_echoes_only_the_options_read(tmp_path):
+    abl, curve = tmp_path / "abl", tmp_path / "curve"
+    assert run_cli(["ablate-limit", *FAST, "--limits", "3", "--out", abl]) == 0
+    assert run_cli(["coverage-curve", *FAST, "--iterations", "1", "--out", curve]) == 0
+    abl_spec = json.loads((abl / "manifest.json").read_text())["spec"]
+    curve_spec = json.loads((curve / "manifest.json").read_text())["spec"]
+    assert set(abl_spec) == {"config_id", "seed", "out", "trials", "iterations",
+                             "replan_limit", "noise", "workers", "limits"}
+    assert set(curve_spec) == {"config_id", "seed", "out", "iterations", "proposer", "noise"}
+
+
+ITERATION_FILES = {"trajectory.ndjson", "predicted.ndjson", "metrics.json", "rules.json",
+                   "kg.json", "sg.json", "coverage.json"}
+
+
+# Backend calls before the failure -> iterations that finish.  On this seed the
+# first episode's learning makes 6 backend calls and each later one 4.
+@pytest.mark.parametrize("answered,finished", [(0, 0), (8, 1), (12, 2)])
+def test_backend_failure_exits_2_and_keeps_finished_iterations(
+    tmp_path, capsys, monkeypatch, answered, finished
+):
+    from worldalign import backend
+    from worldalign.world_model import BackendUnavailable
+
+    calls = []
+
+    class FailingClient:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def complete(self, prompt):
+            calls.append(prompt)
+            if len(calls) > answered:
+                raise BackendUnavailable("backend went away")
+            return json.dumps({"new_rules": []}) if "new_rules" in prompt else "[]"
+
+    monkeypatch.setattr(backend, "CompletionClient", FailingClient)
+    out = tmp_path / "sim"
+    code = run_cli(["simulate", *FAST, "--proposer", "backend", "--iterations", "3",
+                    "--out", out])
+    assert code == 2
+    assert "error: backend went away" in capsys.readouterr().err
+    trial = out / "trial_00"
+    for iteration in range(3):
+        iter_dir = trial / f"iter_{iteration:02d}"
+        if iteration < finished:
+            assert {p.name for p in iter_dir.iterdir()} == ITERATION_FILES
+        else:
+            assert not iter_dir.exists()
+    assert not list(out.rglob("checkpoint.json"))
+
+
 def tree_digest(root, skip=("manifest.json",)):
     """SHA-256 over every file's relative path and bytes, in path order."""
     import hashlib

@@ -14,6 +14,7 @@ from worldalign.env import (
     WorldConfig,
     check_solvable,
     expected_rule_count,
+    kg_edges_for_config,
     load_config,
     make_config,
     replay,
@@ -173,8 +174,7 @@ def test_trajectory_chain_holds_after_every_step():
 # -- oracle surface -------------------------------------------------------------
 
 def test_ground_truth_rules_parse_and_include_near_table_rule():
-    world = _world_where()
-    rules = [parse(text) for text in world.ground_truth_rules()]
+    rules = [parse(text) for text in rules_for_config(make_config("default"))]
     by_id = {r.id: r for r in rules}
     assert "gt_make_model" in by_id
     assert by_id["gt_make_model"].action_guard == "make"
@@ -186,7 +186,7 @@ def test_taskdep_rules_reference_remapped_source():
     # tree keeps its no-tool mining, so no tool rule for it even after remap;
     # the collects edge carries the remapping instead.
     assert not any("gt_mine_tool_tree" in t for t in texts)
-    edges = {(e.u, e.v, e.relation) for e in MarsWorld(config).ground_truth_kg_edges()}
+    edges = {(e.u, e.v, e.relation) for e in kg_edges_for_config(config)}
     assert ("iron", "tree", "collects") in edges
 
 

@@ -64,8 +64,13 @@ def _actions(config):
 
 
 def _clone(world):
-    """Deep copy of a world's mutable state; the config and tables are shared."""
-    shared = {id(world.config): world.config, id(world.tables): world.tables}
+    """Deep copy of a world's mutable state; the config, the tables and the
+    interned (immutable) view objects are shared."""
+    shared = {
+        id(world.config): world.config,
+        id(world.tables): world.tables,
+        id(world._interned): world._interned,
+    }
     return copy.deepcopy(world, shared)
 
 
