@@ -30,8 +30,8 @@ from .env.config import (
 from .env.world import DIR_DELTAS, WALKABLE, MarsWorld
 from .graphs import KnowledgeGraph, SceneGraph
 from .learner import LearnerConfig, LearnerState, RuleSet, cover_rate, ns_learning
-from .proposers import Proposer, ProposerUnavailable
-from .world_model import BasePredictor, MapExecuteResult, map_execute
+from .proposers import Proposer
+from .world_model import BackendUnavailable, BasePredictor, MapExecuteResult, map_execute
 
 
 @dataclass(frozen=True)
@@ -618,20 +618,15 @@ class ExternalBackendPlanner:
         suggestions: list[str],
         context: PlanningContext,
     ) -> Action:
-        from .world_model import BackendUnavailable
-
         prompt = self.prompt_template.format(
             observation=json.dumps(obs.to_json(), indent=1),
             feedback=json.dumps(feedback),
             suggestions=json.dumps(suggestions),
         )
-        try:
-            reply = self.client.complete(prompt)
-        except BackendUnavailable as exc:
-            raise ProposerUnavailable(str(exc)) from exc
+        reply = self.client.complete(prompt)
         action = self._parse_call(reply)
         if action is None:
-            raise ProposerUnavailable(f"unparseable action reply: {reply[:80]!r}")
+            raise BackendUnavailable(f"unparseable action reply: {reply[:80]!r}")
         return action
 
     @classmethod
@@ -684,7 +679,6 @@ class EpisodeComponents:
     learner_config: LearnerConfig = field(default_factory=LearnerConfig)
     cadence: str = "episode"  # "episode" | "step"
     replan_limit: int = 3
-    belief_tables: EffectiveTables | None = None  # effect tables for map_execute
 
 
 @dataclass
@@ -706,11 +700,11 @@ def run_episode(
 
     Per step: MPC plans an action, the environment executes it, both
     trajectories grow.  Learning runs per step or once at episode end,
-    per the configured cadence.  A proposer or planner failure propagates
-    as ProposerUnavailable; partial learning progress stays in the state.
+    per the configured cadence.  A backend seat's failure propagates as
+    BackendUnavailable; partial learning progress stays in the state.
     """
     world = MarsWorld(config)
-    tables = components.belief_tables or config.base_tables()
+    tables = config.base_tables()  # the agent's belief: map_execute's effect tables
     if not state.sg.status:
         state.sg = SceneGraph.initial(world.locations())
 

@@ -37,9 +37,9 @@ from .experiments import (
     run_trials,
     standard_components,
 )
-from .graphs import KnowledgeGraph
-from .learner import RuleSet, build_matrix, prune_trace
-from .proposers import NoisyOracleProposer, OracleProposer, ProposerUnavailable
+from .graphs import KnowledgeGraph, SceneGraph
+from .learner import RuleSet, build_matrix, select_rules
+from .proposers import NoisyOracleProposer, OracleProposer
 from .world_model import BackendUnavailable
 
 
@@ -110,16 +110,9 @@ def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
         write_json(iter_dir / "rules.json", state.rules.to_json())
         write_json(iter_dir / "kg.json", state.kg.to_json())
         write_json(iter_dir / "sg.json", state.sg.to_json())
-        matrix = build_matrix(
-            state.rules.entries, state.mispredictions, state.kg, state.sg,
-            tool_tiers=episode_config.tool_tiers,
+        write_json(
+            iter_dir / "coverage.json", state.coverage.to_json(state.last_trace, spec.rule_limit)
         )
-        coverage_doc = matrix.to_json()
-        coverage_doc["selection"] = [
-            {"rule_id": s.rule_id, "gain": s.gain} for s in state.last_trace
-        ]
-        coverage_doc["limit"] = spec.rule_limit
-        write_json(iter_dir / "coverage.json", coverage_doc)
         rows.append({"trial": trial_index, "iteration": iteration, **result.metrics})
 
     run_learning_trial(
@@ -168,10 +161,6 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
 
 def cmd_ablate_limit(spec: ExperimentSpec, limits: list[int]) -> int:
     spec.validate()
-    if not limits:
-        raise ValueError("provide at least one rule limit")
-    if any(l < 1 for l in limits):
-        raise ValueError("rule limits must be >= 1")
     config = load_config(spec.config_id)
     seeds = [spec.seed + t for t in range(spec.trials)]
     table = run_ablation(
@@ -231,8 +220,6 @@ def cmd_prune(
     kg = KnowledgeGraph.empty()
     if kg_path:
         kg = KnowledgeGraph.from_json(json.loads(Path(kg_path).read_text()))
-    from .graphs import SceneGraph
-
     mispredictions: list[tuple[Transition, Outcome]] = []
     for i, line in enumerate(Path(transitions_path).read_text().splitlines()):
         if not line.strip():
@@ -249,15 +236,10 @@ def cmd_prune(
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS
     )
-    trace = prune_trace(matrix, limit)
-    selected_ids = [s.rule_id for s in trace]
-    survivors = [e for e in rules.entries if e.id in selected_ids]
+    kept, trace, _ = select_rules(rules.entries, matrix, limit)
     out_dir = Path(out)
-    doc = matrix.to_json()
-    doc["selection"] = [{"rule_id": s.rule_id, "gain": s.gain} for s in trace]
-    doc["limit"] = limit
-    write_json(out_dir / "coverage.json", doc)
-    write_json(out_dir / "rules.json", RuleSet(tuple(survivors), limit).to_json())
+    write_json(out_dir / "coverage.json", matrix.to_json(trace, limit))
+    write_json(out_dir / "rules.json", RuleSet(kept, limit).to_json())
     covered = sum(s.gain for s in trace)
     print(f"{len(mispredictions)} mispredictions, {len(rules)} candidate rules")
     for s in trace:
@@ -359,8 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_inspect(args.path)
         if args.command == "prune":
             return cmd_prune(args.rules, args.transitions, args.limit, args.out, args.kg)
-    except (ValueError, UnsolvableConfig, SchemaError, ProposerUnavailable,
-            BackendUnavailable) as exc:
+    except (ValueError, UnsolvableConfig, SchemaError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

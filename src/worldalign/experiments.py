@@ -105,7 +105,7 @@ def run_probe(
     """Roll the probe policy, recording real and predicted trajectories."""
     world = MarsWorld(config)
     policy = ProbePolicy(phase_len)
-    tables = getattr(predictor, "tables", None) or config.base_tables()
+    tables = config.base_tables()  # what an unaligned predictor believes
     obs = world.observe()
     real: list[Transition] = []
     predicted: list[Transition] = []
@@ -135,15 +135,12 @@ def coverage_curve(
     config: WorldConfig,
     proposer: Proposer,
     iterations: int,
-    learner_config: LearnerConfig | None = None,
-    predictor: BasePredictor | None = None,
 ) -> CurveResult:
     """Cover-rate trajectory over learning iterations against a frozen
-    misprediction dataset built with an unaligned predictor."""
-    learner_config = learner_config or LearnerConfig()
-    predictor = predictor or NaivePrior(config)
+    misprediction dataset built with the unaligned naive prior."""
+    learner_config = LearnerConfig()
     window = learner_config.window
-    real, predicted = run_probe(config, predictor, iterations * window, window)
+    real, predicted = run_probe(config, NaivePrior(config), iterations * window, window)
     _, incorrect = classify_transitions(real, predicted)
     frozen = list(zip(incorrect.transitions, incorrect.predictions))
 
@@ -241,7 +238,6 @@ def standard_components(
             learner_config=LearnerConfig(limit=limit, prune=prune),
             cadence=cadence,
             replan_limit=replan_limit,
-            belief_tables=config.base_tables(),
         )
 
     return build

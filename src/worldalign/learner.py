@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Outcome, Trajectory, Transition, TransitionSet, classify_transitions
+from .core import Outcome, Trajectory, Transition, classify_transitions
 from .dsl import (
     EvalDiagnostics,
     ParseError,
@@ -157,6 +157,34 @@ class ValidityWatermark:
         self.upto = {e.ast: self.upto[e.ast] for e in entries if e.ast in self.upto}
 
 
+@dataclass(frozen=True)
+class SelectionStep:
+    rule_id: str
+    gain: int
+
+
+@dataclass(frozen=True)
+class CoverageMatrix:
+    rule_ids: tuple[str, ...] = ()
+    transition_ids: tuple[str, ...] = ()
+    a: tuple[tuple[bool, ...], ...] = ()  # a[i][j]: rule i covers misprediction j
+
+    def to_json(self, trace: Sequence[SelectionStep], limit: int) -> dict:
+        """The `coverage.json` document: this matrix plus the greedy trace
+        that selected from it."""
+        return {
+            "rules": list(self.rule_ids),
+            "transitions": list(self.transition_ids),
+            "matrix": [[1 if cell else 0 for cell in row] for row in self.a],
+            "selection": [{"rule_id": s.rule_id, "gain": s.gain} for s in trace],
+            "limit": limit,
+        }
+
+
+def misprediction_key(transition: Transition, predicted: Outcome) -> str:
+    return transition.digest() + str(predicted.success)
+
+
 @dataclass
 class LearnerState:
     """Single-owner state threading through learning iterations."""
@@ -167,14 +195,13 @@ class LearnerState:
     history: list[Transition] = field(default_factory=list)
     mispredictions: list[tuple[Transition, Outcome]] = field(default_factory=list)
     iteration: int = 0
-    invalid_texts: list[str] = field(default_factory=list)
-    dropped_edges: int = 0
-    last_trace: tuple["SelectionStep", ...] = ()
+    last_trace: tuple[SelectionStep, ...] = ()
+    coverage: CoverageMatrix = field(default_factory=CoverageMatrix)  # kept rules' rows
     diagnostics: EvalDiagnostics = field(default_factory=EvalDiagnostics)
     validity: ValidityWatermark = field(default_factory=ValidityWatermark)
 
     def misprediction_keys(self) -> set[str]:
-        return {t.digest() + str(p.success) for t, p in self.mispredictions}
+        return {misprediction_key(t, p) for t, p in self.mispredictions}
 
 
 @dataclass(frozen=True)
@@ -244,20 +271,6 @@ def coverage(
     return asserted_bit(rule, verdict) == transition.outcome.success
 
 
-@dataclass(frozen=True)
-class CoverageMatrix:
-    rule_ids: tuple[str, ...]
-    transition_ids: tuple[str, ...]
-    a: tuple[tuple[bool, ...], ...]  # a[i][j]: rule i covers misprediction j
-
-    def to_json(self) -> dict:
-        return {
-            "rules": list(self.rule_ids),
-            "transitions": list(self.transition_ids),
-            "matrix": [[1 if cell else 0 for cell in row] for row in self.a],
-        }
-
-
 def build_matrix(
     entries: Sequence[RuleEntry],
     mispredictions: Sequence[tuple[Transition, Outcome]],
@@ -279,12 +292,6 @@ def build_matrix(
         transition_ids=tuple(t.digest() for t, _ in mispredictions),
         a=tuple(rows),
     )
-
-
-@dataclass(frozen=True)
-class SelectionStep:
-    rule_id: str
-    gain: int
 
 
 def prune_trace(matrix: CoverageMatrix, limit: int) -> list[SelectionStep]:
@@ -319,6 +326,29 @@ def prune_trace(matrix: CoverageMatrix, limit: int) -> list[SelectionStep]:
 
 def prune(matrix: CoverageMatrix, limit: int) -> list[str]:
     return [step.rule_id for step in prune_trace(matrix, limit)]
+
+
+def select_rules(
+    entries: Sequence[RuleEntry], matrix: CoverageMatrix, limit: int
+) -> tuple[tuple[RuleEntry, ...], tuple[SelectionStep, ...], CoverageMatrix]:
+    """Apply the greedy pick to `entries`, whose rows `matrix` holds in the
+    same order.
+
+    Returns the kept entries in pick order, each with its marginal gain as
+    `covered`; the selection trace; and the kept entries' rows, in the same
+    order, over the same mispredictions.
+    """
+    trace = tuple(prune_trace(matrix, limit))
+    picked = [matrix.rule_ids.index(step.rule_id) for step in trace]
+    kept = tuple(
+        replace(entries[i], covered=step.gain) for i, step in zip(picked, trace)
+    )
+    rows = CoverageMatrix(
+        tuple(step.rule_id for step in trace),
+        matrix.transition_ids,
+        tuple(matrix.a[i] for i in picked),
+    )
+    return kept, trace, rows
 
 
 def drop_invalid(
@@ -371,27 +401,23 @@ class CoverRate:
 
 def cover_rate(
     rules: RuleSet,
-    mispredictions: TransitionSet | Sequence[tuple[Transition, Outcome]],
+    mispredictions: Sequence[tuple[Transition, Outcome]],
     kg: KnowledgeGraph,
     sg: SceneGraph,
     *,
     tool_tiers: Sequence[str],
 ) -> CoverRate:
     """Fraction of mispredictions corrected by at least one rule."""
-    if isinstance(mispredictions, TransitionSet):
-        pairs = list(zip(mispredictions.transitions, mispredictions.predictions))
-    else:
-        pairs = list(mispredictions)
-    if not pairs:
+    if not mispredictions:
         return CoverRate(0.0, defined=False)
     hits = 0
-    for transition, predicted in pairs:
+    for transition, predicted in mispredictions:
         if any(
             coverage(e.ast, transition, predicted, kg, sg, tool_tiers=tool_tiers)
             for e in rules.entries
         ):
             hits += 1
-    return CoverRate(float(Fraction(hits, len(pairs))), defined=True)
+    return CoverRate(float(Fraction(hits, len(mispredictions))), defined=True)
 
 
 def _unique_id(base: str, taken: set[str]) -> str:
@@ -417,7 +443,9 @@ def ns_learning(
     Stages: classify, induce (rules and edges, chunked by the context
     window), compile, validate against all real transitions seen so far,
     then prune by greedy maximum coverage over the accumulated misprediction
-    set.  Graph updates land in the state even if the proposer fails midway.
+    set; the kept rules' rows of that coverage matrix stay on
+    `state.coverage`.  Graph updates land in the state even if the proposer
+    fails midway.
 
     Validation is incremental: `state.validity` remembers how far each
     surviving rule was already checked, so a call checks new rules against
@@ -427,11 +455,11 @@ def ns_learning(
     correct, incorrect = classify_transitions(real, pred)
 
     known = state.misprediction_keys()
-    for transition, predicted in zip(incorrect.transitions, incorrect.predictions):
-        key = transition.digest() + str(predicted.success)
+    for pair in zip(incorrect.transitions, incorrect.predictions):
+        key = misprediction_key(*pair)
         if key not in known:
             known.add(key)
-            state.mispredictions.append((transition, predicted))
+            state.mispredictions.append(pair)
 
     sg = state.sg
     for transition in real.transitions:
@@ -446,12 +474,8 @@ def ns_learning(
     step = config.window
     for start in range(0, len(real.transitions), step):
         chunk = real.transitions[start : start + step]
-        induction = kg_induce(chunk, proposer)
-        state.kg = kg_merge(state.kg, induction.edges)
-        state.dropped_edges += induction.dropped
-        result = induce_rules(chunk, pending, proposer)
-        state.invalid_texts.extend(result.invalid_texts)
-        for text in result.new_texts:
+        state.kg = kg_merge(state.kg, kg_induce(chunk, proposer).edges)
+        for text in induce_rules(chunk, pending, proposer).new_texts:
             ast = parse(text)
             rule_id = _unique_id(ast.id, taken_ids)
             taken_ids.add(rule_id)
@@ -474,18 +498,14 @@ def ns_learning(
         matrix = build_matrix(
             pool.entries, state.mispredictions, state.kg, state.sg, tool_tiers=tool_tiers
         )
-        trace = prune_trace(matrix, config.limit)
-        state.last_trace = tuple(trace)
-        gains = {step.rule_id: step.gain for step in trace}
-        order = [step.rule_id for step in trace]
-        by_id = {e.id: e for e in pool.entries}
-        survivors = tuple(
-            replace(by_id[rule_id], covered=gains[rule_id]) for rule_id in order
+        kept, state.last_trace, state.coverage = select_rules(
+            pool.entries, matrix, config.limit
         )
-        result_set = RuleSet(survivors, config.limit)
-        state.validity.keep_only(survivors)
+        result_set = RuleSet(kept, config.limit)
+        state.validity.keep_only(kept)
     else:
         state.last_trace = ()
+        state.coverage = CoverageMatrix()
         result_set = RuleSet(pool.entries, config.limit)
 
     state.rules = result_set

@@ -13,10 +13,7 @@ from typing import Protocol, Sequence
 from .core import Transition
 from .env.config import WorldConfig
 from .env.oracle import kg_edges_for_config, rules_for_config
-
-
-class ProposerUnavailable(RuntimeError):
-    """The proposer cannot answer."""
+from .world_model import BackendUnavailable
 
 
 class Proposer(Protocol):
@@ -97,8 +94,8 @@ class NoisyOracleProposer:
 
 class ExternalBackendProposer:
     """Asks a text-completion backend to mine rules / edges, with strict
-    response validation.  Malformed replies surface as ProposerUnavailable
-    after the client's retry budget is spent."""
+    response validation.  Malformed replies, like a client that gives up
+    after its retry budget, surface as BackendUnavailable."""
 
     def __init__(self, client, rule_prompt: str, kg_prompt: str):
         self.client = client
@@ -112,11 +109,11 @@ class ExternalBackendProposer:
             transitions=json.dumps([t.to_json() for t in window], indent=1),
             existing_rules=json.dumps(list(existing), indent=1),
         )
-        reply = self._complete(prompt)
+        reply = self.client.complete(prompt)
         data = self._parse_json(reply)
         rules = data.get("new_rules") if isinstance(data, dict) else None
         if not isinstance(rules, list) or not all(isinstance(r, str) for r in rules):
-            raise ProposerUnavailable("rule reply missing a new_rules list of strings")
+            raise BackendUnavailable("rule reply missing a new_rules list of strings")
         return rules
 
     def propose_kg_edges(self, window: Sequence[Transition]) -> list[dict]:
@@ -133,19 +130,11 @@ class ExternalBackendProposer:
                 indent=1,
             )
         )
-        reply = self._complete(prompt)
+        reply = self.client.complete(prompt)
         data = self._parse_json(reply)
         if not isinstance(data, list):
-            raise ProposerUnavailable("edge reply is not a JSON list")
+            raise BackendUnavailable("edge reply is not a JSON list")
         return [e for e in data if isinstance(e, dict)]
-
-    def _complete(self, prompt: str) -> str:
-        from .world_model import BackendUnavailable
-
-        try:
-            return self.client.complete(prompt)
-        except BackendUnavailable as exc:
-            raise ProposerUnavailable(str(exc)) from exc
 
     @staticmethod
     def _parse_json(reply: str):
@@ -155,4 +144,4 @@ class ExternalBackendProposer:
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ProposerUnavailable(f"unparseable JSON reply: {exc}") from exc
+            raise BackendUnavailable(f"unparseable JSON reply: {exc}") from exc

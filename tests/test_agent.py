@@ -19,8 +19,8 @@ from worldalign.env import CONFIG_IDS, MarsWorld, make_config
 from worldalign.env.world import WALKABLE
 from worldalign.graphs import KnowledgeGraph, SceneGraph, KgEdge, kg_merge
 from worldalign.learner import LearnerConfig, LearnerState, RuleEntry, RuleSet
-from worldalign.proposers import OracleProposer, ProposerUnavailable
-from worldalign.world_model import NaivePrior, ScriptedPredictor
+from worldalign.proposers import OracleProposer
+from worldalign.world_model import BackendUnavailable, NaivePrior, ScriptedPredictor
 
 from conftest import make_obs
 
@@ -189,7 +189,7 @@ def test_proposer_failure_propagates_from_episode():
         def propose(self, obs, feedback, suggestions, context):
             FlakyPlanner.calls += 1
             if FlakyPlanner.calls > 5:
-                raise ProposerUnavailable("backend down")
+                raise BackendUnavailable("backend down")
             return super().propose(obs, feedback, suggestions, context)
 
     components = EpisodeComponents(
@@ -198,7 +198,7 @@ def test_proposer_failure_propagates_from_episode():
         rule_proposer=None,
     )
     state = LearnerState(rules=RuleSet((), 6))
-    with pytest.raises(ProposerUnavailable, match="backend down"):
+    with pytest.raises(BackendUnavailable, match="backend down"):
         run_episode(config, state, components)
     assert FlakyPlanner.calls == 6
 

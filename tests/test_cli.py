@@ -166,6 +166,41 @@ def test_prune_subcommand_offline(tmp_path, capsys):
     assert trace == [{"rule_id": "near_table", "gain": 3}]
 
 
+def test_prune_keeps_rules_in_pick_order_with_their_gains(tmp_path, capsys):
+    from worldalign.core import Action, Outcome, Transition, dumps_canonical
+    from conftest import make_obs
+
+    # The file lists a_mine first, with a stale count; near_table covers more.
+    rules = [
+        {"id": "a_mine", "covered_count": 7, "source":
+            'RULE a_mine FOR mine: FAIL IF action.args[block_name] == "stone"'},
+        {"id": "near_table", "covered_count": 0, "source":
+            'RULE near_table FOR make: FAIL IF NOT ("table" in near_objects)'},
+    ]
+    rules_path = tmp_path / "rules.json"
+    rules_path.write_text(json.dumps(rules))
+
+    obs = make_obs()
+    actions = [Action("make", {"tool_name": "wood_pickaxe"})] * 3
+    actions.append(Action("mine", {"block_name": "stone", "amount": 1}))
+    lines = []
+    for action in actions:
+        record = Transition(obs, action, Outcome(False, "no"), obs).to_json()
+        record["predicted"] = Outcome(True, "sure").to_json()
+        lines.append(dumps_canonical(record))
+    transitions_path = tmp_path / "mispredictions.ndjson"
+    transitions_path.write_text("\n".join(lines) + "\n")
+
+    out = tmp_path / "pruned"
+    code = run_cli(["prune", "--rules", rules_path, "--transitions", transitions_path,
+                    "--limit", "2", "--out", out])
+    assert code == 0
+    kept = json.loads((out / "rules.json").read_text())
+    assert [(r["id"], r["covered_count"]) for r in kept] == [("near_table", 3), ("a_mine", 1)]
+    selection = json.loads((out / "coverage.json").read_text())["selection"]
+    assert [(s["rule_id"], s["gain"]) for s in selection] == [("near_table", 3), ("a_mine", 1)]
+
+
 def test_prune_rejects_records_without_prediction(tmp_path, capsys):
     from worldalign.core import Action, Outcome, Transition, dumps_canonical
     from conftest import make_obs

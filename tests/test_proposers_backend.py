@@ -11,7 +11,6 @@ from worldalign.proposers import (
     ExternalBackendProposer,
     NoisyOracleProposer,
     OracleProposer,
-    ProposerUnavailable,
 )
 from worldalign.world_model import BackendUnavailable
 
@@ -55,7 +54,7 @@ def test_backend_proposer_rejects_malformed_shapes():
     proposer = ExternalBackendProposer(FakeClient(['{"rules": 3}']),
                                        load_prompt("rule_induction"),
                                        load_prompt("kg_induction"))
-    with pytest.raises(ProposerUnavailable):
+    with pytest.raises(BackendUnavailable):
         proposer.propose_rules(_window(), [])
 
 
@@ -71,11 +70,11 @@ def test_backend_proposer_parses_edges_and_skips_non_objects():
     assert len(edges) == 1
 
 
-def test_backend_unavailability_becomes_proposer_unavailable():
+def test_backend_unavailability_propagates_from_proposer():
     proposer = ExternalBackendProposer(FakeClient([]),
                                        load_prompt("rule_induction"),
                                        load_prompt("kg_induction"))
-    with pytest.raises(ProposerUnavailable):
+    with pytest.raises(BackendUnavailable):
         proposer.propose_rules(_window(), [])
 
 
@@ -89,7 +88,7 @@ def test_backend_planner_parses_action_call():
 
 def test_backend_planner_rejects_nonsense():
     planner = ExternalBackendPlanner(FakeClient(["dance wildly"]), load_prompt("action_proposal"))
-    with pytest.raises(ProposerUnavailable):
+    with pytest.raises(BackendUnavailable):
         planner.propose(make_obs(), [], [], PlanningContext(KnowledgeGraph.empty(), SceneGraph()))
 
 
