@@ -38,10 +38,24 @@ def write_text(path: str | Path, text: str) -> None:
 
 # -- inspection --------------------------------------------------------------
 
-def _require(data: dict, field: str, path: str):
+NUMBER = (int, float)
+
+
+def _require(data, field: str, path: str, where: str = "", types: type | tuple = object):
+    """`data[field]`, or a SchemaError naming the file, the place (`where`,
+    e.g. "line 3: outcome") and the field when `data` is not an object, the
+    field is missing or its value is not of `types`."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(data, dict):
+        raise SchemaError(path, f"{where or 'document'} is not a JSON object")
     if field not in data:
-        raise SchemaError(path, f"missing field {field!r}")
-    return data[field]
+        raise SchemaError(path, f"{prefix}missing field {field!r}")
+    value = data[field]
+    if not isinstance(value, types):
+        raise SchemaError(
+            path, f"{prefix}field {field!r} has the wrong type ({type(value).__name__})"
+        )
+    return value
 
 
 def render_rows(data: list, path: str) -> str:
@@ -79,17 +93,24 @@ def render_rules(data, path: str) -> str:
 
 
 def render_coverage(data: dict, path: str) -> str:
-    rules = _require(data, "rules", path)
-    transitions = _require(data, "transitions", path)
-    matrix = _require(data, "matrix", path)
+    rules = _require(data, "rules", path, types=list)
+    transitions = _require(data, "transitions", path, types=list)
+    matrix = _require(data, "matrix", path, types=list)
     lines = [f"coverage matrix: {len(rules)} rules x {len(transitions)} mispredictions"]
-    for rid, row in zip(rules, matrix):
-        lines.append(f"  {rid:<28} covers {sum(row)}")
+    for i, (rid, row) in enumerate(zip(rules, matrix)):
+        if not isinstance(row, list) or not all(isinstance(cell, NUMBER) for cell in row):
+            raise SchemaError(path, f"matrix row {i} is not an array of numbers")
+        lines.append(f"  {rid!s:<28} covers {sum(row)}")
     selection = data.get("selection", [])
+    if not isinstance(selection, list):
+        raise SchemaError(path, "field 'selection' is not a JSON array")
     if selection:
         lines.append("greedy selection trace:")
-        for step in selection:
-            lines.append(f"  pick {step['rule_id']:<28} gain {step['gain']}")
+        for i, step in enumerate(selection):
+            where = f"selection step {i}"
+            rule_id = _require(step, "rule_id", path, where, str)
+            gain = _require(step, "gain", path, where, int)
+            lines.append(f"  pick {rule_id:<28} gain {gain}")
     return "\n".join(lines)
 
 
@@ -100,6 +121,8 @@ def render_metrics(data: dict, path: str) -> str:
         if key in data:
             lines.append(f"  {key:<14} {data[key]}")
     achievements = data.get("achievements", {})
+    if not isinstance(achievements, dict):
+        raise SchemaError(path, "field 'achievements' is not a JSON object")
     lines.append(f"  achievements   {len(achievements)}")
     for name, step in sorted(achievements.items(), key=lambda kv: kv[1]):
         lines.append(f"    {name:<22} step {step}")
@@ -107,29 +130,36 @@ def render_metrics(data: dict, path: str) -> str:
 
 
 def render_kg(data: dict, path: str) -> str:
-    edges = _require(data, "edges", path)
+    edges = _require(data, "edges", path, types=list)
     lines = [f"knowledge graph: {len(edges)} edges"]
-    for edge in edges:
-        label = _require(edge, "label", path)
+    for i, edge in enumerate(edges):
+        where = f"edge {i}"
+        u = _require(edge, "u", path, where)
+        v = _require(edge, "v", path, where)
+        label = _require(edge, "label", path, where, dict)
+        relation = _require(label, "relation", path, f"{where}: label")
         quantity = label.get("quantity")
         suffix = f" x{quantity}" if quantity is not None else ""
-        lines.append(f"  {edge['u']} -[{label['relation']}{suffix}]-> {edge['v']}")
+        lines.append(f"  {u} -[{relation}{suffix}]-> {v}")
     return "\n".join(lines)
 
 
 def render_sg(data: dict, path: str) -> str:
-    status = _require(data, "status", path)
-    edges = _require(data, "edges", path)
+    status = _require(data, "status", path, types=dict)
+    edges = _require(data, "edges", path, types=list)
     lines = [f"scene graph: {len(status)} locations, {len(edges)} edges"]
     for loc, st in status.items():
         lines.append(f"  {loc:<14} {st}")
-    for u, v, rel in edges:
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise SchemaError(path, f"edge {i} is not a [u, v, relation] array")
+        u, v, rel = edge
         lines.append(f"  {u} -[{rel}]-> {v}")
     return "\n".join(lines)
 
 
 def render_manifest(data: dict, path: str) -> str:
-    spec = _require(data, "spec", path)
+    spec = _require(data, "spec", path, types=dict)
     lines = ["experiment manifest:"]
     lines.append(f"  version  {data.get('version', '?')}")
     for key, value in sorted(spec.items()):
@@ -138,26 +168,34 @@ def render_manifest(data: dict, path: str) -> str:
 
 
 def render_summary(data: dict, path: str) -> str:
-    rows = _require(data, "rows", path)
+    rows = _require(data, "rows", path, types=dict)
     lines = ["metric summary (mean +- std):"]
     for name, cell in sorted(rows.items()):
-        lines.append(f"  {name:<14} {cell['mean']:.3f} +- {cell['std']:.3f}")
+        mean = _require(cell, "mean", path, f"row {name!r}", NUMBER)
+        std = _require(cell, "std", path, f"row {name!r}", NUMBER)
+        lines.append(f"  {name:<14} {mean:.3f} +- {std:.3f}")
     return "\n".join(lines)
 
 
 def render_ablation(data: dict, path: str) -> str:
-    arms = _require(data, "arms", path)
+    arms = _require(data, "arms", path, types=dict)
     lines = [f"{'arm':<14}{'reward':>16}{'score':>16}"]
     for name, row in arms.items():
+        reward_mean, reward_std, score_mean, score_std = (
+            _require(row, key, path, f"arm {name!r}", NUMBER)
+            for key in ("reward_mean", "reward_std", "score_mean", "score_std")
+        )
         lines.append(
-            f"{name:<14}{row['reward_mean']:>8.2f}+-{row['reward_std']:<6.2f}"
-            f"{row['score_mean']:>8.2f}+-{row['score_std']:<6.2f}"
+            f"{name:<14}{reward_mean:>8.2f}+-{reward_std:<6.2f}"
+            f"{score_mean:>8.2f}+-{score_std:<6.2f}"
         )
     return "\n".join(lines)
 
 
 def render_curve(data: dict, path: str) -> str:
-    series = _require(data, "series", path)
+    series = _require(data, "series", path, types=list)
+    if not all(isinstance(value, NUMBER) for value in series):
+        raise SchemaError(path, "field 'series' is not an array of numbers")
     lines = [f"cover rate over {len(series) - 1} learning iterations "
              f"({data.get('misprediction_count', '?')} frozen mispredictions):"]
     for i, value in enumerate(series):
@@ -174,19 +212,41 @@ def render_trajectory(text: str, path: str) -> str:
         head = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"line 1 is not JSON ({exc})") from exc
+    if not isinstance(head, dict):
+        raise SchemaError(path, "line 1 is not a JSON object")
     meta = head.get("meta", {})
+    if not isinstance(meta, dict):
+        raise SchemaError(path, "line 1: field 'meta' has the wrong type")
     out = [f"trajectory: {len(lines) - 1} transitions "
            f"(seed {meta.get('seed')}, config {meta.get('config_id')!r})"]
     for i, line in enumerate(lines[1:], 1):
         try:
             record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, f"line {i + 1}: malformed transition ({exc})") from exc
+        if not isinstance(record, dict):
+            raise SchemaError(path, f"line {i + 1}: transition is not a JSON object")
+        try:
             action = record["action"]
             outcome = record["outcome"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except KeyError as exc:
             raise SchemaError(path, f"line {i + 1}: malformed transition ({exc})") from exc
-        status = "ok " if outcome["success"] else "FAIL"
-        args = ", ".join(f"{k}={v}" for k, v in action["args"].items())
-        out.append(f"  {i:>4} {status} {action['name']}({args})  {outcome['feedback']}")
+        try:
+            success, feedback = outcome["success"], outcome["feedback"]
+            name, args = action["name"], action["args"]
+        except (KeyError, TypeError):
+            success = None
+        if not (isinstance(success, bool) and isinstance(feedback, str)
+                and isinstance(name, str) and isinstance(args, dict)):
+            # Rare path: find the first bad field and name it.
+            where = f"line {i + 1}"
+            _require(outcome, "success", path, f"{where}: outcome", bool)
+            _require(outcome, "feedback", path, f"{where}: outcome", str)
+            _require(action, "name", path, f"{where}: action", str)
+            _require(action, "args", path, f"{where}: action", dict)
+        status = "ok " if success else "FAIL"
+        shown = ", ".join(f"{k}={v}" for k, v in args.items())
+        out.append(f"  {i:>4} {status} {name}({shown})  {feedback}")
     return "\n".join(out)
 
 

@@ -20,7 +20,7 @@ from . import __version__
 # but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
 from .agent import run_episode, score
 from .artifacts import SchemaError, inspect_path, write_json, write_text
-from .core import DEFAULT_TOOL_TIERS, Outcome, Transition
+from .core import DEFAULT_TOOL_TIERS, Outcome, Trajectory, Transition, classify_transitions
 from .env.config import (
     ACHIEVEMENTS,
     CONFIG_IDS,
@@ -213,14 +213,16 @@ def cmd_inspect(path: str) -> int:
     return 0
 
 
-def cmd_prune(
-    rules_path: str, transitions_path: str, limit: int, out: str, kg_path: str | None
-) -> int:
-    rules = RuleSet.from_json(json.loads(Path(rules_path).read_text()), limit)
-    kg = KnowledgeGraph.empty()
-    if kg_path:
-        kg = KnowledgeGraph.from_json(json.loads(Path(kg_path).read_text()))
-    mispredictions: list[tuple[Transition, Outcome]] = []
+def _read_trajectory(path: str) -> Trajectory:
+    try:
+        return Trajectory.from_ndjson(Path(path).read_text())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(path, f"not a trajectory file ({exc!r})") from exc
+
+
+def _joined_mispredictions(transitions_path: str) -> list[tuple[Transition, Outcome]]:
+    """Mispredictions from records that carry their own `predicted` outcome."""
+    mispredictions = []
     for i, line in enumerate(Path(transitions_path).read_text().splitlines()):
         if not line.strip():
             continue
@@ -233,6 +235,30 @@ def cmd_prune(
         predicted = Outcome.from_json(record["predicted"])
         if predicted.success != transition.outcome.success:
             mispredictions.append((transition, predicted))
+    return mispredictions
+
+
+def cmd_prune(
+    rules_path: str,
+    transitions_path: str,
+    limit: int,
+    out: str,
+    kg_path: str | None,
+    predicted_path: str | None = None,
+) -> int:
+    rules = RuleSet.from_json(json.loads(Path(rules_path).read_text()), limit)
+    kg = KnowledgeGraph.empty()
+    if kg_path:
+        kg = KnowledgeGraph.from_json(json.loads(Path(kg_path).read_text()))
+    if predicted_path is None:
+        mispredictions = _joined_mispredictions(transitions_path)
+    else:
+        # A run's own pair of files: the real trajectory and the base
+        # predictor's; a length or (obs, action) mismatch is a ValueError.
+        _, incorrect = classify_transitions(
+            _read_trajectory(transitions_path), _read_trajectory(predicted_path)
+        )
+        mispredictions = list(zip(incorrect.transitions, incorrect.predictions))
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS
     )
@@ -308,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_prune = sub.add_parser("prune", help="offline pruning of a rules file")
     p_prune.add_argument("--rules", required=True)
     p_prune.add_argument("--transitions", required=True,
-                         help="ndjson of transitions with a 'predicted' outcome field")
+                         help="ndjson of transitions with a 'predicted' outcome field, "
+                              "or a run's trajectory.ndjson when --predicted is given")
+    p_prune.add_argument("--predicted", default=None, metavar="PATH",
+                         help="the run's predicted.ndjson for the --transitions trajectory")
     p_prune.add_argument("--limit", type=int, default=6)
     p_prune.add_argument("--kg", default=None)
     p_prune.add_argument("--out", default="runs/prune")
@@ -340,7 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inspect":
             return cmd_inspect(args.path)
         if args.command == "prune":
-            return cmd_prune(args.rules, args.transitions, args.limit, args.out, args.kg)
+            return cmd_prune(
+                args.rules, args.transitions, args.limit, args.out, args.kg, args.predicted
+            )
     except (ValueError, UnsolvableConfig, SchemaError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,13 +70,44 @@ class VisibleObject:
     type: str
     x: int
     y: int
+    # Memo read as an attribute: the class default stands in until the first
+    # `canonical()` call.  Reading `__dict__` would materialise a per-instance
+    # dict, which slows every later attribute read of the object.
+    _text = None
 
     def to_json(self) -> dict:
         return {"type": self.type, "x": self.x, "y": self.y}
 
-    @staticmethod
-    def from_json(data: dict) -> "VisibleObject":
-        return VisibleObject(str(data["type"]), int(data["x"]), int(data["y"]))
+    def canonical(self) -> str:
+        """`dumps_canonical(self.to_json())`, computed once per instance and
+        stored beside the frozen fields (outside equality, hashing, repr and
+        pickled state).  Interned objects therefore serialize once."""
+        text = self._text
+        if text is None:
+            # Written out, not dumped: a `json.dumps` call costs more than the
+            # rest of composing a fresh observation.  The type goes through
+            # json's own ASCII escaper; x and y are ints, which json writes
+            # as their repr.
+            escaped = json.encoder.encode_basestring_ascii(self.type)
+            text = f'{{"type":{escaped},"x":{self.x!r},"y":{self.y!r}}}'
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_text", None)
+        return state
+
+
+class VisibleObjectPool(dict):
+    """(type, x, y) -> the one VisibleObject with those fields.
+
+    A hash-consing table: observations built through one pool share their
+    equal visible objects, and with them each object's memoised text."""
+
+    def __missing__(self, key: tuple[str, int, int]) -> VisibleObject:
+        obj = self[key] = VisibleObject(*key)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -138,13 +169,33 @@ class Observation:
             "inventory": dict(sorted(self.inventory.items())),
         }
 
+    def canonical(self) -> str:
+        """`dumps_canonical(self.to_json())`, composed from the visible
+        objects' memoised texts.  `visible_objects` is the last key in sorted
+        order, so the other fields are dumped as one object and the list is
+        spliced in before its closing brace.  Not memoised: the inventory is
+        a plain dict, and the text would outlive the writer that needs it."""
+        head = dumps_canonical({
+            "in_front": self.in_front,
+            "inventory": self.inventory,
+            "near_objects": sorted(self.near_objects),
+            "position": self.position,
+            "status": self.status.to_json(),
+        })
+        visible = ",".join(map(VisibleObject.canonical, self.visible_objects))
+        return f'{head[:-1]},"visible_objects":[{visible}]}}'
+
     @staticmethod
-    def from_json(data: dict) -> "Observation":
+    def from_json(data: dict, pool: VisibleObjectPool | None = None) -> "Observation":
+        """Parse one observation; equal visible objects come from `pool`, so
+        a reader that passes one pool for a whole file interns them."""
+        pool = VisibleObjectPool() if pool is None else pool
         return Observation(
             position=str(data["position"]),
             in_front=str(data["in_front"]),
             visible_objects=tuple(
-                VisibleObject.from_json(v) for v in data["visible_objects"]
+                pool[str(v["type"]), int(v["x"]), int(v["y"])]
+                for v in data["visible_objects"]
             ),
             near_objects=frozenset(str(n) for n in data["near_objects"]),
             status=Status.from_json(data["status"]),
@@ -215,12 +266,20 @@ class Outcome:
         )
 
 
+def _observation_text(obs: Observation, texts: dict[int, tuple[Observation, str]]) -> str:
+    entry = texts.get(id(obs))
+    if entry is None:
+        entry = texts[id(obs)] = (obs, obs.canonical())
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class Transition:
     obs: Observation
     action: Action
     outcome: Outcome
     next_obs: Observation
+    _digest = None  # memo of digest(), read as an attribute like VisibleObject._text
 
     def to_json(self) -> dict:
         return {
@@ -231,26 +290,44 @@ class Transition:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "Transition":
+    def from_json(data: dict, pool: VisibleObjectPool | None = None) -> "Transition":
+        pool = VisibleObjectPool() if pool is None else pool
         return Transition(
-            Observation.from_json(data["obs"]),
+            Observation.from_json(data["obs"], pool),
             Action.from_json(data["action"]),
             Outcome.from_json(data["outcome"]),
-            Observation.from_json(data["next_obs"]),
+            Observation.from_json(data["next_obs"], pool),
+        )
+
+    def canonical(self, texts: dict[int, tuple[Observation, str]] | None = None) -> str:
+        """`dumps_canonical(self.to_json())`, composed from fragments in the
+        canonical key order `action`, `next_obs`, `obs`, `outcome`.
+
+        `texts` maps `id(observation)` to the observation and its text, so a
+        writer that passes one map over many transitions composes each shared
+        observation once; holding the observation keeps its id from being
+        reused while the map lives.
+        """
+        texts = {} if texts is None else texts
+        return (
+            f'{{"action":{dumps_canonical(self.action.to_json())}'
+            f',"next_obs":{_observation_text(self.next_obs, texts)}'
+            f',"obs":{_observation_text(self.obs, texts)}'
+            f',"outcome":{dumps_canonical(self.outcome.to_json())}}}'
         )
 
     def digest(self) -> str:
-        """Short content hash, used as a stable transition id.
+        """Short content hash of `canonical()`, used as a stable transition
+        id.
 
         Computed once per instance: the fields are frozen, so the hash is
         stored beside them (outside equality, hashing and pickled state).
         """
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             import hashlib
 
-            blob = dumps_canonical(self.to_json()).encode()
-            cached = hashlib.sha1(blob).hexdigest()[:12]
+            cached = hashlib.sha1(self.canonical().encode()).hexdigest()[:12]
             object.__setattr__(self, "_digest", cached)
         return cached
 
@@ -280,12 +357,18 @@ class Trajectory:
                 raise ValueError(f"trajectory chain broken between steps {i} and {i + 1}")
 
     def to_ndjson(self) -> str:
+        """A meta line, then one canonical line per transition.  Each
+        observation instance is composed once per call, however many
+        transitions share it."""
+        texts: dict[int, tuple[Observation, str]] = {}
         lines = [dumps_canonical({"meta": {"seed": self.seed, "config_id": self.config_id}})]
-        lines.extend(dumps_canonical(t.to_json()) for t in self.transitions)
+        lines.extend(t.canonical(texts) for t in self.transitions)
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_ndjson(text: str) -> "Trajectory":
+        """Parse `to_ndjson` output; equal visible objects within the file
+        are interned to one instance."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             return Trajectory(())
@@ -294,7 +377,8 @@ class Trajectory:
             meta, body = head["meta"], lines[1:]
         else:
             meta, body = {"seed": 0, "config_id": ""}, lines
-        transitions = tuple(Transition.from_json(json.loads(line)) for line in body)
+        pool = VisibleObjectPool()
+        transitions = tuple(Transition.from_json(json.loads(line), pool) for line in body)
         return Trajectory(transitions, int(meta["seed"]), str(meta["config_id"]))
 
 

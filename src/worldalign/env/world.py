@@ -18,6 +18,7 @@ from ..core import (
     Transition,
     Trajectory,
     VisibleObject,
+    VisibleObjectPool,
     has_tool_at_least,
 )
 from .config import (
@@ -69,14 +70,6 @@ class _Creature:
     y: int
 
 
-class _Interned(dict):
-    """(type, dx, dy) -> the one VisibleObject with those fields."""
-
-    def __missing__(self, key: tuple[str, int, int]) -> VisibleObject:
-        obj = self[key] = VisibleObject(*key)
-        return obj
-
-
 class MarsWorld:
     """One environment instance; single-threaded, externally synchronized."""
 
@@ -86,7 +79,7 @@ class MarsWorld:
         self.tables: EffectiveTables = config.effective()
         self._hostiles = frozenset(self.tables.hostiles())
         # Observations share one immutable VisibleObject per (type, dx, dy).
-        self._interned = _Interned()
+        self._interned = VisibleObjectPool()
         self.reset()
 
     # -- lifecycle -------------------------------------------------------

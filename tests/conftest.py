@@ -1,20 +1,31 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from worldalign.core import Action, Observation, Outcome, Status, Transition, VisibleObject
+from worldalign.core import (
+    Action,
+    Observation,
+    Outcome,
+    Status,
+    Trajectory,
+    Transition,
+    VisibleObject,
+)
 
 
 def make_obs(
     position: str = "grass",
     in_front: str = "grass",
     near: tuple[str, ...] = (),
-    visible: tuple[tuple[str, int, int], ...] = (),
+    visible: tuple[tuple[str, int, int] | VisibleObject, ...] = (),
     status: tuple[int, int, int, int] = (9, 9, 9, 9),
     inventory: dict[str, int] | None = None,
 ) -> Observation:
-    """Observation builder that keeps the near-implies-visible invariant."""
-    objects = [VisibleObject(t, x, y) for t, x, y in visible]
+    """Observation builder that keeps the near-implies-visible invariant.
+    `visible` entries are (type, x, y) tuples or VisibleObject instances,
+    which are kept as given (so observations can share them)."""
+    objects = [v if isinstance(v, VisibleObject) else VisibleObject(*v) for v in visible]
     seen = {v.type for v in objects} | {position, in_front}
     for i, name in enumerate(near):
         if name not in seen:
@@ -44,3 +55,80 @@ def make_transition(
 @pytest.fixture
 def obs_factory():
     return make_obs
+
+
+# -- hypothesis strategies ------------------------------------------------------
+# Names mix ASCII with accented and CJK text, which canonical JSON escapes.
+
+TYPE_NAMES = ("stone", "cow", "plant", "table", "árbol", "石", "zömbie")
+ITEM_NAMES = ("wood", "stone", "iron", "wood_pickaxe", "ñame", "鉄")
+
+visible_objects = st.builds(
+    VisibleObject, st.sampled_from(TYPE_NAMES), st.integers(-4, 4), st.integers(-3, 3)
+)
+
+
+def observations_over(objects: st.SearchStrategy) -> st.SearchStrategy:
+    """Observations whose visible objects are drawn from `objects`; pass a
+    `sampled_from` over a drawn list to share instances."""
+    return st.builds(
+        make_obs,
+        position=st.sampled_from(["grass", "sand", "césped"]),
+        in_front=st.sampled_from(["grass", "water", "table", "tree", "石"]),
+        near=st.lists(
+            st.sampled_from(["table", "tree", "water", "zombie", "árbol"]),
+            max_size=3, unique=True,
+        ).map(tuple),
+        visible=st.lists(objects, max_size=5).map(tuple),
+        status=st.tuples(*[st.integers(0, 9)] * 4),
+        inventory=st.dictionaries(st.sampled_from(ITEM_NAMES), st.integers(0, 9), max_size=4),
+    )
+
+
+# Each observation draws from its own small pool, so the same VisibleObject
+# instance can occur more than once in one observation.
+observations = st.lists(visible_objects, min_size=1, max_size=4).flatmap(
+    lambda pool: observations_over(st.sampled_from(pool))
+)
+
+actions = st.one_of(
+    st.builds(lambda: Action("sleep", {})),
+    st.builds(
+        lambda b, n: Action("mine", {"block_name": b, "amount": n}),
+        st.sampled_from(["tree", "stone", "plant", "石"]),
+        st.integers(1, 3),
+    ),
+    st.builds(
+        lambda d, n: Action("explore", {"direction": d, "steps": n}),
+        st.sampled_from(["north", "south", "east", "west"]),
+        st.integers(1, 5),
+    ),
+    st.builds(
+        lambda t: Action("make", {"tool_name": t}),
+        st.sampled_from(["wood_pickaxe", "pico_de_madera"]),
+    ),
+)
+
+outcomes = st.booleans().flatmap(
+    lambda success: st.builds(
+        Outcome, st.just(success), st.text(max_size=12),
+        st.just("") if success else st.text(max_size=12),
+    )
+)
+
+
+@st.composite
+def trajectories(draw) -> Trajectory:
+    """Trajectories over a few observations that share VisibleObject
+    instances; transitions reuse observation instances, and a transition's
+    `next_obs` may be its own `obs` (as a predictor's estimate can be)."""
+    pool = draw(st.lists(visible_objects, min_size=1, max_size=6))
+    seen = draw(st.lists(observations_over(st.sampled_from(pool)), min_size=1, max_size=4))
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        obs = draw(st.sampled_from(seen))
+        next_obs = obs if draw(st.booleans()) else draw(st.sampled_from(seen))
+        steps.append(Transition(obs, draw(actions), draw(outcomes), next_obs))
+    return Trajectory(
+        tuple(steps), draw(st.integers(0, 99)), draw(st.sampled_from(["", "taskdep", "día"]))
+    )

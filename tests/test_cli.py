@@ -90,6 +90,66 @@ def test_inspect_corrupt_file_names_offending_field(tmp_path, capsys):
     assert "transitions" in err
 
 
+def _trajectory_with(edit) -> str:
+    """A one-transition trajectory file whose transition record `edit` alters."""
+    from worldalign.core import Action, dumps_canonical
+    from conftest import make_transition
+
+    record = make_transition(Action("sleep", {}), True, feedback="rested").to_json()
+    meta = dumps_canonical({"meta": {"seed": 1, "config_id": "default"}})
+    return meta + "\n" + json.dumps(edit(record)) + "\n"
+
+
+def _without(key, *path):
+    def edit(record):
+        inner = record
+        for step in path:
+            inner = inner[step]
+        del inner[key]
+        return record
+    return edit
+
+
+MALFORMED = {
+    "outcome_without_success": (
+        "trajectory.ndjson", lambda: _trajectory_with(_without("success", "outcome")),
+        "line 2: outcome: missing field 'success'",
+    ),
+    "action_without_args": (
+        "trajectory.ndjson", lambda: _trajectory_with(_without("args", "action")),
+        "line 2: action: missing field 'args'",
+    ),
+    "line_is_an_array": (
+        "trajectory.ndjson", lambda: _trajectory_with(lambda record: [record]),
+        "line 2: transition is not a JSON object",
+    ),
+    "kg_edge_without_u": (
+        "kg.json",
+        lambda: json.dumps({"edges": [{"v": "wood_pickaxe", "label": {"relation": "requires"}}]}),
+        "edge 0: missing field 'u'",
+    ),
+    "summary_row_without_std": (
+        "summary.json", lambda: json.dumps({"rows": {"reward": {"mean": 1.0}}}),
+        "row 'reward': missing field 'std'",
+    ),
+    "selection_step_without_rule_id": (
+        "coverage.json",
+        lambda: json.dumps({"rules": ["r1"], "transitions": ["t1"], "matrix": [[True]],
+                            "selection": [{"gain": 1}]}),
+        "selection step 0: missing field 'rule_id'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_inspect_malformed_nested_field_exits_2_naming_file_and_field(tmp_path, capsys, case):
+    name, content, detail = MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_text(content())
+    assert run_cli(["inspect", bad]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {detail}\n"
+
+
 def test_inspect_unknown_schema_errors(tmp_path):
     weird = tmp_path / "weird.json"
     weird.write_text(json.dumps({"zap": 1}))
@@ -215,6 +275,42 @@ def test_prune_rejects_records_without_prediction(tmp_path, capsys):
                     "--out", tmp_path / "out"])
     assert code == 2
     assert "predicted" in capsys.readouterr().err
+
+
+def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run_cli(["simulate", "--config", "taskdep", "--seed", "1", "--out", out]) == 0
+    run = out / "trial_00" / "iter_00"
+    real_lines = (run / "trajectory.ndjson").read_text().splitlines()
+    predicted_lines = (run / "predicted.ndjson").read_text().splitlines()
+    mismatched = sum(
+        json.loads(r)["outcome"]["success"] != json.loads(p)["outcome"]["success"]
+        for r, p in zip(real_lines[1:], predicted_lines[1:])
+    )
+    assert mismatched > 0
+    capsys.readouterr()
+
+    def prune(predicted):
+        return run_cli(["prune", "--rules", run / "rules.json", "--kg", run / "kg.json",
+                        "--transitions", run / "trajectory.ndjson", "--predicted", predicted,
+                        "--out", tmp_path / "pruned"])
+
+    assert prune(run / "predicted.ndjson") == 0
+    assert capsys.readouterr().out.startswith(f"{mismatched} mispredictions, ")
+    assert (tmp_path / "pruned" / "coverage.json").exists()
+
+    short = tmp_path / "short.ndjson"
+    short.write_text("\n".join(predicted_lines[:-1]) + "\n")
+    assert prune(short) == 2
+    assert "real has" in capsys.readouterr().err
+
+    record = json.loads(predicted_lines[1])
+    record["action"] = {"name": "explore", "args": {"direction": "north", "steps": 97}}
+    diverged = tmp_path / "diverged.ndjson"
+    diverged.write_text("\n".join([predicted_lines[0], json.dumps(record),
+                                    *predicted_lines[2:]]) + "\n")
+    assert prune(diverged) == 2
+    assert "diverge at index 0" in capsys.readouterr().err
 
 
 def test_simulate_with_worker_pool_matches_sequential(tmp_path):

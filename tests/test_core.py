@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +15,12 @@ from worldalign.core import (
     Status,
     Trajectory,
     Transition,
+    VisibleObject,
     classify_transitions,
+    dumps_canonical,
 )
 
-from conftest import make_obs, make_transition
+from conftest import actions, make_obs, make_transition, observations, trajectories
 
 
 # -- construction invariants -------------------------------------------------
@@ -67,45 +72,6 @@ def test_negative_inventory_rejected():
 
 # -- serialization ------------------------------------------------------------
 
-observations = st.builds(
-    make_obs,
-    position=st.sampled_from(["grass", "sand"]),
-    in_front=st.sampled_from(["grass", "water", "table", "tree"]),
-    near=st.lists(
-        st.sampled_from(["table", "tree", "water", "zombie"]), max_size=3, unique=True
-    ).map(tuple),
-    visible=st.lists(
-        st.tuples(
-            st.sampled_from(["stone", "cow", "plant"]),
-            st.integers(-4, 4),
-            st.integers(-3, 3),
-        ),
-        max_size=4,
-    ).map(tuple),
-    status=st.tuples(*[st.integers(0, 9)] * 4),
-    inventory=st.dictionaries(
-        st.sampled_from(["wood", "stone", "iron", "wood_pickaxe"]),
-        st.integers(0, 9),
-        max_size=3,
-    ),
-)
-
-actions = st.one_of(
-    st.builds(lambda: Action("sleep", {})),
-    st.builds(
-        lambda b, n: Action("mine", {"block_name": b, "amount": n}),
-        st.sampled_from(["tree", "stone", "plant"]),
-        st.integers(1, 3),
-    ),
-    st.builds(
-        lambda d, n: Action("explore", {"direction": d, "steps": n}),
-        st.sampled_from(["north", "south", "east", "west"]),
-        st.integers(1, 5),
-    ),
-    st.builds(lambda t: Action("make", {"tool_name": t}), st.sampled_from(["wood_pickaxe"])),
-)
-
-
 @given(observations)
 def test_observation_json_round_trip(obs):
     assert Observation.from_json(json.loads(json.dumps(obs.to_json()))) == obs
@@ -146,6 +112,47 @@ def test_trajectory_ndjson_round_trip():
     t = make_transition(Action("sleep", {}), True)
     traj = Trajectory((t, t), seed=42, config_id="default")
     assert Trajectory.from_ndjson(traj.to_ndjson()) == traj
+
+
+@given(trajectories())
+def test_composed_ndjson_and_digest_match_the_reference(traj):
+    # Reference: one canonical dump per line and per digest blob.
+    meta = dumps_canonical({"meta": {"seed": traj.seed, "config_id": traj.config_id}})
+    lines = [meta] + [dumps_canonical(t.to_json()) for t in traj.transitions]
+    assert traj.to_ndjson() == "\n".join(lines) + "\n"
+    for t, line in zip(traj.transitions, lines[1:]):
+        assert t.canonical() == line
+        assert t.digest() == hashlib.sha1(line.encode()).hexdigest()[:12]
+
+
+@given(trajectories())
+def test_reader_interns_equal_visible_objects(traj):
+    text = traj.to_ndjson()
+    parsed = Trajectory.from_ndjson(text)
+    assert parsed == traj
+    assert parsed.to_ndjson() == text
+    first: dict[VisibleObject, VisibleObject] = {}
+    for t in parsed.transitions:
+        for obs in (t.obs, t.next_obs):
+            for v in obs.visible_objects:
+                assert first.setdefault(v, v) is v
+
+
+def test_visible_object_text_is_memoised_outside_equality_hashing_repr_and_pickling():
+    v = VisibleObject("石", -2, 3)
+    pickled, shown, hashed = pickle.dumps(v), repr(v), hash(v)
+    text = v.canonical()
+    assert text == dumps_canonical(v.to_json()) == '{"type":"\\u77f3","x":-2,"y":3}'
+    assert v.canonical() is text  # computed once
+    assert (pickle.dumps(v), repr(v), hash(v)) == (pickled, shown, hashed)
+    assert v == VisibleObject("石", -2, 3)
+    assert copy.deepcopy(v).canonical() == text
+    # Writing a trajectory memoises its objects' texts, not its pickled state.
+    t = make_transition(Action("sleep", {}), True, obs=make_obs(visible=(v, ("cow", 1, 0))))
+    traj = Trajectory((t,))
+    before = pickle.dumps(traj)
+    traj.to_ndjson()
+    assert pickle.dumps(traj) == before
 
 
 def test_trajectory_chain_validation():
