@@ -654,9 +654,6 @@ class ScoreValue:
     percent: float
     defined: bool
 
-    def __float__(self) -> float:
-        return self.percent
-
 
 def score(success_rates: dict[str, float]) -> ScoreValue:
     """Log-geometric mean of achievement success rates, in percent:

@@ -23,9 +23,16 @@ def write_json(path: str | Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise SchemaError(str(path), f"cannot read ({exc.strerror or exc})") from exc
+
+
 def read_json(path: str | Path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"not valid JSON ({exc})") from exc
 
@@ -253,10 +260,8 @@ def render_trajectory(text: str, path: str) -> str:
 def inspect_path(path: str | Path) -> str:
     """Dispatch on the artifact's shape and render it for humans."""
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(str(path), "no such file")
     if path.suffix == ".ndjson":
-        return render_trajectory(path.read_text(), str(path))
+        return render_trajectory(read_text(path), str(path))
     data = read_json(path)
     name = str(path)
     if isinstance(data, list):

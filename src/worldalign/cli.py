@@ -19,7 +19,7 @@ from . import __version__
 # `run_episode` is not called here (run_learning_trial owns the episode loop),
 # but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
 from .agent import run_episode, score
-from .artifacts import SchemaError, inspect_path, write_json, write_text
+from .artifacts import SchemaError, inspect_path, read_json, read_text, write_json, write_text
 from .core import DEFAULT_TOOL_TIERS, Outcome, Trajectory, Transition, classify_transitions
 from .env.config import (
     ACHIEVEMENTS,
@@ -38,7 +38,7 @@ from .experiments import (
     standard_components,
 )
 from .graphs import KnowledgeGraph, SceneGraph
-from .learner import RuleSet, build_matrix, select_rules
+from .learner import LearnerConfig, RuleSet, build_matrix, select_rules
 from .proposers import NoisyOracleProposer, OracleProposer
 from .world_model import BackendUnavailable
 
@@ -50,7 +50,7 @@ class ExperimentSpec:
     trials: int = 1
     iterations: int = 1
     out: str = "runs/out"
-    rule_limit: int = 6
+    rule_limit: int = LearnerConfig.limit
     replan_limit: int = 3
     cadence: str = "episode"
     proposer: str = "oracle"  # oracle | noisy | backend | none
@@ -84,9 +84,8 @@ def _target_product(target: str | None) -> str:
     return "iron_pickaxe"
 
 
-def _run_one_trial(spec_json: dict, trial_index: int) -> dict:
+def _run_one_trial(spec: ExperimentSpec, trial_index: int) -> dict:
     """Top-level worker: runs one trial and writes its artifacts."""
-    spec = ExperimentSpec(**spec_json)
     trial_seed = spec.seed + trial_index
     build = standard_components(
         rule_proposer_kind=spec.proposer,
@@ -126,10 +125,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
     spec.validate()
     out = Path(spec.out)
     write_json(out / "manifest.json", {"version": __version__, "spec": spec.to_json()})
-    spec_json = spec.to_json()
-    results = run_trials(
-        _run_one_trial, [(spec_json, t) for t in range(spec.trials)], spec.workers
-    )
+    results = run_trials(_run_one_trial, [(spec, t) for t in range(spec.trials)], spec.workers)
     rows = [row for result in results for row in result["rows"]]
     write_json(out / "rows.json", rows)
     summary = {}
@@ -214,8 +210,9 @@ def cmd_inspect(path: str) -> int:
 
 
 def _read_trajectory(path: str) -> Trajectory:
+    text = read_text(path)
     try:
-        return Trajectory.from_ndjson(Path(path).read_text())
+        return Trajectory.from_ndjson(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(path, f"not a trajectory file ({exc!r})") from exc
 
@@ -223,7 +220,7 @@ def _read_trajectory(path: str) -> Trajectory:
 def _joined_mispredictions(transitions_path: str) -> list[tuple[Transition, Outcome]]:
     """Mispredictions from records that carry their own `predicted` outcome."""
     mispredictions = []
-    for i, line in enumerate(Path(transitions_path).read_text().splitlines()):
+    for i, line in enumerate(read_text(transitions_path).splitlines()):
         if not line.strip():
             continue
         record = json.loads(line)
@@ -231,8 +228,13 @@ def _joined_mispredictions(transitions_path: str) -> list[tuple[Transition, Outc
             continue
         if "predicted" not in record:
             raise SchemaError(transitions_path, f"line {i + 1}: missing field 'predicted'")
-        transition = Transition.from_json(record)
-        predicted = Outcome.from_json(record["predicted"])
+        try:
+            transition = Transition.from_json(record)
+            predicted = Outcome.from_json(record["predicted"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(
+                transitions_path, f"line {i + 1}: not a transition record ({exc!r})"
+            ) from exc
         if predicted.success != transition.outcome.success:
             mispredictions.append((transition, predicted))
     return mispredictions
@@ -246,10 +248,10 @@ def cmd_prune(
     kg_path: str | None,
     predicted_path: str | None = None,
 ) -> int:
-    rules = RuleSet.from_json(json.loads(Path(rules_path).read_text()), limit)
+    rules = RuleSet.from_json(read_json(rules_path))
     kg = KnowledgeGraph.empty()
     if kg_path:
-        kg = KnowledgeGraph.from_json(json.loads(Path(kg_path).read_text()))
+        kg = KnowledgeGraph.from_json(read_json(kg_path))
     if predicted_path is None:
         mispredictions = _joined_mispredictions(transitions_path)
     else:
@@ -265,7 +267,7 @@ def cmd_prune(
     kept, trace, _ = select_rules(rules.entries, matrix, limit)
     out_dir = Path(out)
     write_json(out_dir / "coverage.json", matrix.to_json(trace, limit))
-    write_json(out_dir / "rules.json", RuleSet(kept, limit).to_json())
+    write_json(out_dir / "rules.json", RuleSet(kept).to_json())
     covered = sum(s.gain for s in trace)
     print(f"{len(mispredictions)} mispredictions, {len(rules)} candidate rules")
     for s in trace:
@@ -274,27 +276,25 @@ def cmd_prune(
     return 0
 
 
-# Every experiment flag, keyed by the ExperimentSpec field it sets.
+# Every experiment flag, keyed by the ExperimentSpec field it sets.  A flag's
+# default is that field's default; only `--out`'s is set per command.
 FLAGS: dict[str, tuple[str, dict]] = {
-    "config_id": ("--config", {"default": "default", "metavar": "CONFIG",
-                               "help": "config id or JSON path"}),
-    "seed": ("--seed", {"type": int, "default": 1}),
-    "out": ("--out", {"default": None, "help": "output directory"}),
-    "trials": ("--trials", {"type": int, "default": 1}),
-    "iterations": ("--iterations", {"type": int, "default": 1}),
-    "rule_limit": ("--rule-limit", {"type": int, "default": 6}),
-    "replan_limit": ("--replan-limit", {"type": int, "default": 3}),
-    "cadence": ("--cadence", {"choices": ("episode", "step"), "default": "episode"}),
-    "proposer": ("--proposer", {"choices": ("oracle", "noisy", "backend", "none"),
-                                "default": "oracle"}),
-    "predictor": ("--predictor", {"choices": ("naive", "backend"), "default": "naive"}),
-    "planner": ("--planner", {"choices": ("scripted", "backend"), "default": "scripted"}),
-    "noise": ("--noise", {"type": float, "default": 0.3}),
+    "config_id": ("--config", {"metavar": "CONFIG", "help": "config id or JSON path"}),
+    "seed": ("--seed", {"type": int}),
+    "out": ("--out", {"help": "output directory"}),
+    "trials": ("--trials", {"type": int}),
+    "iterations": ("--iterations", {"type": int}),
+    "rule_limit": ("--rule-limit", {"type": int}),
+    "replan_limit": ("--replan-limit", {"type": int}),
+    "cadence": ("--cadence", {"choices": ("episode", "step")}),
+    "proposer": ("--proposer", {"choices": ("oracle", "noisy", "backend", "none")}),
+    "predictor": ("--predictor", {"choices": ("naive", "backend")}),
+    "planner": ("--planner", {"choices": ("scripted", "backend")}),
+    "noise": ("--noise", {"type": float}),
     "target": ("--target", {
-        "default": TARGET_CHAIN_ACHIEVEMENT,
         "help": "achievement ending the episode ('none' to run the full budget)",
     }),
-    "workers": ("--workers", {"type": int, "default": 1}),
+    "workers": ("--workers", {"type": int}),
 }
 # The spec fields each experiment command reads.  A command accepts no other
 # flag, and its manifest echoes only these.
@@ -318,15 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for field in COMMAND_FIELDS[command]:
             flag, kwargs = FLAGS[field]
-            p.add_argument(flag, dest=field, **{**kwargs, **overrides.get(field, {})})
+            kwargs = {"default": getattr(ExperimentSpec, field), **kwargs,
+                      **overrides.get(field, {})}
+            p.add_argument(flag, dest=field, **kwargs)
         return p
 
-    add_experiment("simulate", "run learning episodes and write artifacts")
-    p_abl = add_experiment("ablate-limit", "compare rule-limit arms plus no-pruning")
+    add_experiment("simulate", "run learning episodes and write artifacts",
+                   out={"default": "runs/simulate"})
+    p_abl = add_experiment("ablate-limit", "compare rule-limit arms plus no-pruning",
+                           out={"default": "runs/ablation"})
     p_abl.add_argument("--limits", default="6,5,3,1",
                        help="comma-separated rule limits")
     add_experiment("coverage-curve", "cover rate over learning iterations",
-                   proposer={"choices": ("oracle", "noisy")})
+                   out={"default": "runs/curve"}, proposer={"choices": ("oracle", "noisy")})
 
     p_inspect = sub.add_parser("inspect", help="pretty-print any artifact file")
     p_inspect.add_argument("path")
@@ -338,15 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "or a run's trajectory.ndjson when --predicted is given")
     p_prune.add_argument("--predicted", default=None, metavar="PATH",
                          help="the run's predicted.ndjson for the --transitions trajectory")
-    p_prune.add_argument("--limit", type=int, default=6)
+    p_prune.add_argument("--limit", type=int, default=LearnerConfig.limit)
     p_prune.add_argument("--kg", default=None)
     p_prune.add_argument("--out", default="runs/prune")
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, default_out: str) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     values = {field: getattr(args, field) for field in COMMAND_FIELDS[args.command]}
-    values["out"] = values["out"] or default_out
     if values.get("target") in ("none", ""):
         values["target"] = None
     return ExperimentSpec(**values)
@@ -360,12 +363,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.command == "simulate":
-            return cmd_simulate(_spec_from_args(args, "runs/simulate"))
+            return cmd_simulate(_spec_from_args(args))
         if args.command == "ablate-limit":
             limits = [int(x) for x in str(args.limits).split(",") if x.strip()]
-            return cmd_ablate_limit(_spec_from_args(args, "runs/ablation"), limits)
+            return cmd_ablate_limit(_spec_from_args(args), limits)
         if args.command == "coverage-curve":
-            return cmd_coverage_curve(_spec_from_args(args, "runs/curve"))
+            return cmd_coverage_curve(_spec_from_args(args))
         if args.command == "inspect":
             return cmd_inspect(args.path)
         if args.command == "prune":

@@ -209,8 +209,8 @@ def _print_atom(atom: Atom) -> str:
 def pretty_print(rule: RuleAst) -> str:
     """Render a rule in canonical single-line form.
 
-    The output re-parses to a structurally identical AST, so canonical text
-    doubles as the rule's identity for duplicate detection.
+    The output re-parses to a structurally identical AST, so two rules have
+    the same canonical text exactly when their ASTs are equal.
     """
     head = "FAIL IF" if rule.polarity is Polarity.FAIL_IF else "SUCCEED ONLY IF"
     parts = [f"RULE {rule.id} FOR {rule.action_guard}: {head} {_print_expr(rule.condition)}"]

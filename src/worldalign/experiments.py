@@ -19,7 +19,7 @@ from .core import Action, Observation, Trajectory, Transition, classify_transiti
 from .env.config import TARGET_CHAIN_ACHIEVEMENT, WorldConfig
 from .env.world import DIR_DELTAS, WALKABLE, MarsWorld, apply_effect
 from .graphs import SceneGraph
-from .learner import LearnerConfig, LearnerState, RuleSet, cover_rate, ns_learning
+from .learner import LearnerConfig, LearnerState, cover_rate, ns_learning
 from .proposers import NoisyOracleProposer, OracleProposer, Proposer
 from .world_model import BasePredictor, NaivePrior
 
@@ -144,7 +144,7 @@ def coverage_curve(
     _, incorrect = classify_transitions(real, predicted)
     frozen = list(zip(incorrect.transitions, incorrect.predictions))
 
-    state = LearnerState(rules=RuleSet((), learner_config.limit))
+    state = LearnerState()
     state.sg = SceneGraph.initial(MarsWorld(config).locations())
     tiers = config.tool_tiers
     series = [0.0]
@@ -273,18 +273,14 @@ def run_learning_trial(
 
     `on_episode(iteration, config, result, state)` runs after each episode,
     before the next starts, so what it writes survives a later failure."""
-    state: LearnerState | None = None
+    state = LearnerState()
     episodes: list[EpisodeResult] = []
     for i in range(iterations):
         config = base_config.with_seed(episode_seed(trial_seed, i))
-        components = build(config)
-        if state is None:
-            state = LearnerState(rules=RuleSet((), components.learner_config.limit))
-        result = run_episode(config, state, components, target=target)
+        result = run_episode(config, state, build(config), target=target)
         episodes.append(result)
         if on_episode is not None:
             on_episode(i, config, result, state)
-    assert state is not None
     return TrialResult(episodes, state)
 
 

@@ -49,7 +49,6 @@ class RuleEntry:
 @dataclass(frozen=True)
 class RuleSet:
     entries: tuple[RuleEntry, ...] = ()
-    limit: int = 6
 
     def __post_init__(self) -> None:
         ids = [e.id for e in self.entries]
@@ -63,9 +62,6 @@ class RuleSet:
     def rules(self) -> tuple[RuleAst, ...]:
         return tuple(e.ast for e in self.entries)
 
-    def canonical_forms(self) -> set[str]:
-        return {e.canonical() for e in self.entries}
-
     def to_json(self) -> list[dict]:
         return [
             {
@@ -78,7 +74,7 @@ class RuleSet:
         ]
 
     @staticmethod
-    def from_json(data: list[dict], limit: int = 6) -> "RuleSet":
+    def from_json(data: list[dict]) -> "RuleSet":
         entries = []
         for item in data:
             ast = parse(item["source"])
@@ -95,7 +91,7 @@ class RuleSet:
                     covered=int(item.get("covered_count", 0)),
                 )
             )
-        return RuleSet(tuple(entries), limit)
+        return RuleSet(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -206,35 +202,55 @@ class LearnerState:
 
 @dataclass(frozen=True)
 class InductionResult:
-    new_texts: tuple[str, ...]
+    new_entries: tuple[RuleEntry, ...]
     invalid_texts: tuple[str, ...]
 
 
+def _unique_id(base: str, taken: set[str]) -> str:
+    if base not in taken:
+        return base
+    n = 2
+    while f"{base}__{n}" in taken:
+        n += 1
+    return f"{base}__{n}"
+
+
 def induce_rules(
-    window: Sequence[Transition], existing: RuleSet, proposer
+    window: Sequence[Transition],
+    pool: Sequence[RuleEntry],
+    proposer,
+    iteration: int,
 ) -> InductionResult:
-    """Ask the proposer for new rule texts over a window.
+    """Ask the proposer for new rules over a window and compile each text
+    once.
 
     Texts that fail to parse are returned tagged-invalid for logging and
-    excluded; texts whose canonical form duplicates an existing rule are
-    silently dropped.
+    excluded.  A text that equals a pool rule, or one accepted earlier in
+    the same batch, in everything but its id is a duplicate and silently
+    dropped.  Every new rule gets an id no pool rule holds.
     """
-    raw = proposer.propose_rules(window, [e.source for e in existing.entries])
-    known = existing.canonical_forms()
-    new_texts: list[str] = []
+    raw = proposer.propose_rules(window, [e.source for e in pool])
+    known = {replace(e.ast, id="") for e in pool}
+    taken = {e.id for e in pool}
+    new: list[RuleEntry] = []
     invalid: list[str] = []
     for text in raw:
         try:
-            canonical = pretty_print(parse(text))
+            ast = parse(text)
         except (ParseError, RuleTypeError) as exc:
             log.info("discarding unparseable rule: %s (%s)", text[:60], exc)
             invalid.append(text)
             continue
-        if canonical in known:
+        anonymous = replace(ast, id="")
+        if anonymous in known:
             continue
-        known.add(canonical)
-        new_texts.append(text)
-    return InductionResult(tuple(new_texts), tuple(invalid))
+        known.add(anonymous)
+        rule_id = _unique_id(ast.id, taken)
+        taken.add(rule_id)
+        if rule_id != ast.id:
+            ast = replace(ast, id=rule_id)
+        new.append(RuleEntry(ast=ast, source=text, iteration=iteration))
+    return InductionResult(tuple(new), tuple(invalid))
 
 
 def asserted_bit(rule: RuleAst, verdict) -> bool | None:
@@ -324,10 +340,6 @@ def prune_trace(matrix: CoverageMatrix, limit: int) -> list[SelectionStep]:
     return selected
 
 
-def prune(matrix: CoverageMatrix, limit: int) -> list[str]:
-    return [step.rule_id for step in prune_trace(matrix, limit)]
-
-
 def select_rules(
     entries: Sequence[RuleEntry], matrix: CoverageMatrix, limit: int
 ) -> tuple[tuple[RuleEntry, ...], tuple[SelectionStep, ...], CoverageMatrix]:
@@ -353,7 +365,7 @@ def select_rules(
 
 def drop_invalid(
     rules: RuleSet,
-    real: Sequence[Transition] | Trajectory,
+    transitions: Sequence[Transition],
     kg: KnowledgeGraph,
     sg: SceneGraph,
     *,
@@ -369,7 +381,6 @@ def drop_invalid(
     updated in place: a kept rule's entry advances to the full length and a
     dropped rule's entry goes.  An empty or absent map checks from scratch.
     """
-    transitions = real.transitions if isinstance(real, Trajectory) else tuple(real)
     if watermark is None:
         watermark = {}
     keep = []
@@ -387,16 +398,13 @@ def drop_invalid(
             watermark[entry.ast] = len(transitions)
         else:
             watermark.pop(entry.ast, None)
-    return RuleSet(tuple(keep), rules.limit)
+    return RuleSet(tuple(keep))
 
 
 @dataclass(frozen=True)
 class CoverRate:
     value: float
     defined: bool  # False when the misprediction set was empty
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def cover_rate(
@@ -420,15 +428,6 @@ def cover_rate(
     return CoverRate(float(Fraction(hits, len(mispredictions))), defined=True)
 
 
-def _unique_id(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}__{n}" in taken:
-        n += 1
-    return f"{base}__{n}"
-
-
 def ns_learning(
     pred: Trajectory,
     real: Trajectory,
@@ -440,8 +439,8 @@ def ns_learning(
 ) -> RuleSet:
     """One learning iteration over an aligned (predicted, real) pair.
 
-    Stages: classify, induce (rules and edges, chunked by the context
-    window), compile, validate against all real transitions seen so far,
+    Stages: classify, induce and compile (rules and edges, chunked by the
+    context window), validate against all real transitions seen so far,
     then prune by greedy maximum coverage over the accumulated misprediction
     set; the kept rules' rows of that coverage matrix stay on
     `state.coverage`.  Graph updates land in the state even if the proposer
@@ -468,26 +467,15 @@ def ns_learning(
         sg = sg_update(sg, real.transitions[-1].next_obs)
     state.sg = sg
 
-    new_entries: list[RuleEntry] = []
-    taken_ids = {e.id for e in state.rules.entries}
-    pending = state.rules
+    entries = list(state.rules.entries)
     step = config.window
     for start in range(0, len(real.transitions), step):
         chunk = real.transitions[start : start + step]
         state.kg = kg_merge(state.kg, kg_induce(chunk, proposer).edges)
-        for text in induce_rules(chunk, pending, proposer).new_texts:
-            ast = parse(text)
-            rule_id = _unique_id(ast.id, taken_ids)
-            taken_ids.add(rule_id)
-            if rule_id != ast.id:
-                ast = replace(ast, id=rule_id)
-            new_entries.append(
-                RuleEntry(ast=ast, source=text, iteration=state.iteration)
-            )
-            pending = RuleSet(pending.entries + (new_entries[-1],), config.limit)
+        entries += induce_rules(chunk, entries, proposer, state.iteration).new_entries
 
     state.history.extend(real.transitions)
-    pool = RuleSet(state.rules.entries + tuple(new_entries), config.limit)
+    pool = RuleSet(tuple(entries))
 
     if config.prune:
         watermark = state.validity.refresh(state.history, state.kg, state.sg, tool_tiers)
@@ -501,13 +489,12 @@ def ns_learning(
         kept, state.last_trace, state.coverage = select_rules(
             pool.entries, matrix, config.limit
         )
-        result_set = RuleSet(kept, config.limit)
         state.validity.keep_only(kept)
+        pool = RuleSet(kept)
     else:
         state.last_trace = ()
         state.coverage = CoverageMatrix()
-        result_set = RuleSet(pool.entries, config.limit)
 
-    state.rules = result_set
+    state.rules = pool
     state.iteration += 1
-    return result_set
+    return pool

@@ -306,7 +306,7 @@ def test_criterion_8_determinism_and_invariants():
             planner=ScriptedPlanner(config),
             rule_proposer=None,
         )
-        state = LearnerState(rules=RuleSet((), 6))
+        state = LearnerState()
         result = run_episode(config, state, components, target=None)
 
         try:
@@ -338,7 +338,7 @@ def test_criterion_8_determinism_and_invariants():
             )
 
         if episode_index % 10 == 0:
-            rerun_state = LearnerState(rules=RuleSet((), 6))
+            rerun_state = LearnerState()
             rerun = run_episode(
                 config, rerun_state,
                 EpisodeComponents(predictor=NaivePrior(config),

@@ -49,7 +49,7 @@ def _mpc(obs, rules, predictor, proposer, replan_limit=3):
 
 def test_first_proposal_accepted_with_replan_count_one():
     proposer = QueueProposer([Action("sleep", {})])
-    result = _mpc(make_obs(), RuleSet((), 6), ScriptedPredictor(default=True), proposer)
+    result = _mpc(make_obs(), RuleSet(), ScriptedPredictor(default=True), proposer)
     assert result.replan_count == 1
     assert result.action == Action("sleep", {})
     assert result.predicted.success
@@ -63,7 +63,7 @@ def test_replan_correction_pattern_missing_iron():
         'satisfied_by inventory SUGGEST "Missing for {tool_name}: {missing}."'
     )
     kg = kg_merge(KnowledgeGraph.empty(), [KgEdge("iron_pickaxe", "iron", "consumes", 1)])
-    rules = RuleSet((RuleEntry(ast=rule, source="s"),), 6)
+    rules = RuleSet((RuleEntry(ast=rule, source="s"),))
     obs = make_obs(near=("iron",), inventory={"wood_pickaxe": 1, "stone_pickaxe": 1})
 
     class CorrectingProposer:
@@ -82,7 +82,7 @@ def test_replan_correction_pattern_missing_iron():
 
 def test_replan_limit_returns_last_candidate_flagged():
     rule = parse('RULE never FOR sleep: FAIL IF obs.position == "grass"')
-    rules = RuleSet((RuleEntry(ast=rule, source="s"),), 6)
+    rules = RuleSet((RuleEntry(ast=rule, source="s"),))
     proposer = QueueProposer([Action("sleep", {})])
     result = _mpc(make_obs(), rules, ScriptedPredictor(default=True), proposer)
     assert result.replan_count == 3
@@ -91,7 +91,7 @@ def test_replan_limit_returns_last_candidate_flagged():
 
 def test_feedback_history_strictly_grows_within_one_call():
     rule = parse('RULE never FOR sleep: FAIL IF obs.position == "grass" FEEDBACK "nope"')
-    rules = RuleSet((RuleEntry(ast=rule, source="s"),), 6)
+    rules = RuleSet((RuleEntry(ast=rule, source="s"),))
     proposer = QueueProposer([Action("sleep", {})])
     _mpc(make_obs(), rules, ScriptedPredictor(default=True), proposer, replan_limit=4)
     lengths = [len(f) for f in proposer.seen_feedback]
@@ -100,7 +100,7 @@ def test_feedback_history_strictly_grows_within_one_call():
 
 def test_mpc_requires_positive_replan_limit():
     with pytest.raises(ValueError):
-        _mpc(make_obs(), RuleSet((), 6), ScriptedPredictor(), QueueProposer([Action("sleep", {})]),
+        _mpc(make_obs(), RuleSet(), ScriptedPredictor(), QueueProposer([Action("sleep", {})]),
              replan_limit=0)
 
 
@@ -155,7 +155,7 @@ def test_episode_same_seed_same_metrics():
     config = make_config("default", seed=21)
     results = []
     for _ in range(2):
-        state = LearnerState(rules=RuleSet((), 6))
+        state = LearnerState()
         results.append(run_episode(config, state, _components(config)))
     assert results[0].metrics == results[1].metrics
     assert results[0].real.to_ndjson() == results[1].real.to_ndjson()
@@ -163,7 +163,7 @@ def test_episode_same_seed_same_metrics():
 
 def test_episode_every_action_was_vetted_first():
     config = make_config("default", seed=21)
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     result = run_episode(config, state, _components(config))
     # model-based contract: real and predicted trajectories are index-aligned
     assert len(result.real) == len(result.predicted)
@@ -175,7 +175,7 @@ def test_episode_step_cadence_learns_every_step():
     config = make_config("default", seed=21)
     components = _components(config)
     components.cadence = "step"
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     result = run_episode(config, state, components)
     assert state.iteration == result.metrics["steps"]
 
@@ -197,7 +197,7 @@ def test_proposer_failure_propagates_from_episode():
         planner=FlakyPlanner(config),
         rule_proposer=None,
     )
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     with pytest.raises(BackendUnavailable, match="backend down"):
         run_episode(config, state, components)
     assert FlakyPlanner.calls == 6

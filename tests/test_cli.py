@@ -3,7 +3,7 @@ import json
 import pytest
 
 from worldalign.artifacts import SchemaError, inspect_path
-from worldalign.cli import main
+from worldalign.cli import COMMAND_FIELDS, ExperimentSpec, build_parser, main
 
 FAST = ["--config", "default", "--seed", "1"]
 
@@ -60,6 +60,18 @@ def test_every_artifact_is_inspectable(tmp_path, capsys):
     for artifact in artifacts:
         assert run_cli(["inspect", artifact]) == 0, artifact
     assert capsys.readouterr().out
+
+    # the ablation table and the coverage curve, with their manifests
+    abl, curve = tmp_path / "abl", tmp_path / "curve"
+    assert run_cli(["ablate-limit", *FAST, "--limits", "3", "--out", abl]) == 0
+    assert run_cli(["coverage-curve", *FAST, "--iterations", "2", "--out", curve]) == 0
+    capsys.readouterr()
+    for artifact, expected in ((abl / "ablation.json", "no_pruning"),
+                               (curve / "curve.json", "cover rate over 2 learning iterations"),
+                               (abl / "manifest.json", "limits"),
+                               (curve / "manifest.json", "iterations")):
+        assert run_cli(["inspect", artifact]) == 0, artifact
+        assert expected in capsys.readouterr().out, artifact
 
 
 def test_inspect_rules_shows_one_stanza_per_rule(tmp_path, capsys):
@@ -277,6 +289,34 @@ def test_prune_rejects_records_without_prediction(tmp_path, capsys):
     assert "predicted" in capsys.readouterr().err
 
 
+# (extra prune arguments, the file the error names), paths relative to tmp_path
+PRUNE_READ_ERRORS = {
+    "record_without_obs": (["--rules", "rules.json", "--transitions", "no_obs.ndjson"],
+                           "no_obs.ndjson"),
+    "missing_rules_file": (["--rules", "absent.json", "--transitions", "no_obs.ndjson"],
+                           "absent.json"),
+    "missing_transitions_file": (["--rules", "rules.json", "--transitions", "absent.ndjson",
+                                  "--predicted", "no_obs.ndjson"], "absent.ndjson"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNE_READ_ERRORS))
+def test_prune_read_errors_exit_2_naming_the_file(tmp_path, capsys, case):
+    from worldalign.core import Action, Outcome, Transition, dumps_canonical
+    from conftest import make_obs
+
+    args, named = PRUNE_READ_ERRORS[case]
+    (tmp_path / "rules.json").write_text("[]")
+    obs = make_obs()
+    record = Transition(obs, Action("sleep", {}), Outcome(False), obs).to_json()
+    record["predicted"] = Outcome(True).to_json()
+    del record["obs"]
+    (tmp_path / "no_obs.ndjson").write_text(dumps_canonical(record) + "\n")
+    paths = [tmp_path / a if not a.startswith("--") else a for a in args]
+    assert run_cli(["prune", *paths, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / named}: ")
+
+
 def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):
     out = tmp_path / "sim"
     assert run_cli(["simulate", "--config", "taskdep", "--seed", "1", "--out", out]) == 0
@@ -367,6 +407,15 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, command, flag, value):
         run_cli([command, *FAST, flag, value, "--out", out])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+def test_parser_defaults_are_the_spec_defaults(command):
+    args = build_parser().parse_args([command])
+    defaults = ExperimentSpec()
+    for field in COMMAND_FIELDS[command]:
+        if field != "out":  # each command has its own output directory
+            assert getattr(args, field) == getattr(defaults, field), field
 
 
 def test_manifest_echoes_only_the_options_read(tmp_path):

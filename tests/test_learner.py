@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -26,7 +27,6 @@ from worldalign.learner import (
     drop_invalid,
     induce_rules,
     ns_learning,
-    prune,
     prune_trace,
 )
 from worldalign.proposers import NoisyOracleProposer, OracleProposer
@@ -63,7 +63,7 @@ def greedy_covered(matrix: CoverageMatrix, limit: int) -> int:
 # -- pruning -------------------------------------------------------------------
 
 def test_prune_empty_incorrect_set():
-    assert prune(matrix_from_sets([set(), set()], 0), 3) == []
+    assert prune_trace(matrix_from_sets([set(), set()], 0), 3) == []
 
 
 def test_prune_hand_built_instance_trace():
@@ -77,19 +77,19 @@ def test_prune_hand_built_instance_trace():
 
 def test_prune_tie_breaks_to_lowest_rule_index():
     matrix = matrix_from_sets([{0}, {1}], 2)
-    assert prune(matrix, 1) == ["rule_1"]
+    assert prune_trace(matrix, 1) == [SelectionStep("rule_1", 1)]
 
 
 def test_prune_stops_at_zero_gain():
     matrix = matrix_from_sets([{0, 1}, {0}, {1}], 2)
-    assert prune(matrix, 3) == ["rule_1"]
+    assert prune_trace(matrix, 3) == [SelectionStep("rule_1", 2)]
 
 
 def test_prune_respects_limit():
     matrix = matrix_from_sets([{0}, {1}, {2}], 3)
-    assert prune(matrix, 1) == ["rule_1"]
+    assert prune_trace(matrix, 1) == [SelectionStep("rule_1", 1)]
     with pytest.raises(ValueError):
-        prune(matrix, 0)
+        prune_trace(matrix, 0)
 
 
 def test_adversarial_instance_meets_approximation_bound():
@@ -125,7 +125,7 @@ def test_greedy_vs_brute_force_property(case):
 
 def test_redundant_rule_contributes_zero_gain():
     matrix = matrix_from_sets([{0, 1, 2}, {1, 2}], 3)
-    assert prune(matrix, 2) == ["rule_1"]
+    assert prune_trace(matrix, 2) == [SelectionStep("rule_1", 3)]
 
 
 # -- coverage -------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_ground_truth_rules_survive_ground_truth_trajectories():
         [tr for tr in real.transitions if not tr.outcome.success] or real.transitions[:1], []
     ))
     kg = kg_merge(KnowledgeGraph.empty(), kg_edges_for_config(config))
-    survivors = drop_invalid(RuleSet(entries, 6), real, kg, SceneGraph(), tool_tiers=TIERS)
+    survivors = drop_invalid(RuleSet(entries), real.transitions, kg, SceneGraph(), tool_tiers=TIERS)
     assert {e.id for e in survivors.entries} == {e.id for e in entries}
 
 
@@ -206,7 +206,7 @@ def test_corrupted_rule_removed_after_one_contradiction():
     obs = make_obs(near=("table",))
     ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
     survivors = drop_invalid(
-        RuleSet((inverted,), 6), [ok], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS
+        RuleSet((inverted,)), [ok], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS
     )
     assert len(survivors) == 0
 
@@ -216,7 +216,7 @@ def test_dormant_rule_retained():
     obs = make_obs(near=("table",))
     ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
     survivors = drop_invalid(
-        RuleSet((dormant,), 6), [ok], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS
+        RuleSet((dormant,)), [ok], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS
     )
     assert len(survivors) == 1
 
@@ -225,13 +225,13 @@ def test_dormant_rule_retained():
 
 def test_cover_rate_no_rules_is_zero():
     t = _failed_make()
-    rate = cover_rate(RuleSet((), 6), [(t, Outcome(True))], KnowledgeGraph.empty(),
+    rate = cover_rate(RuleSet(), [(t, Outcome(True))], KnowledgeGraph.empty(),
                       SceneGraph(), tool_tiers=TIERS)
     assert rate.value == 0.0 and rate.defined
 
 
 def test_cover_rate_empty_set_is_flagged_zero():
-    rate = cover_rate(RuleSet((), 6), [], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS)
+    rate = cover_rate(RuleSet(), [], KnowledgeGraph.empty(), SceneGraph(), tool_tiers=TIERS)
     assert rate.value == 0.0 and not rate.defined
 
 
@@ -239,7 +239,7 @@ def test_cover_rate_exact_fraction_12_of_13():
     entries = (RuleEntry(ast=near_table_rule(), source="x"),)
     mispredictions = [(_failed_make(), Outcome(True)) for _ in range(12)]
     mispredictions.append((_failed_make(near=("table",)), Outcome(True)))  # uncovered
-    rate = cover_rate(RuleSet(entries, 6), mispredictions, KnowledgeGraph.empty(),
+    rate = cover_rate(RuleSet(entries), mispredictions, KnowledgeGraph.empty(),
                       SceneGraph(), tool_tiers=TIERS)
     assert rate.value == pytest.approx(12 / 13)
     assert round(rate.value, 3) == 0.923
@@ -248,7 +248,7 @@ def test_cover_rate_exact_fraction_12_of_13():
 def test_cover_rate_oracle_rules_cover_all_expressible():
     entries = (RuleEntry(ast=near_table_rule(), source="x"),)
     mispredictions = [(_failed_make(), Outcome(True)) for _ in range(5)]
-    rate = cover_rate(RuleSet(entries, 6), mispredictions, KnowledgeGraph.empty(),
+    rate = cover_rate(RuleSet(entries), mispredictions, KnowledgeGraph.empty(),
                       SceneGraph(), tool_tiers=TIERS)
     assert rate.value == 1.0
 
@@ -275,17 +275,43 @@ def test_induce_excludes_unparseable_as_tagged_invalid():
         'RULE ok FOR make: FAIL IF NOT ("table" in near_objects)',
         "RULE ??? broken text",
     ])
-    result = induce_rules(_window_with_failure(), RuleSet((), 6), proposer)
-    assert len(result.new_texts) == 1
+    result = induce_rules(_window_with_failure(), (), proposer, 0)
+    assert len(result.new_entries) == 1
     assert len(result.invalid_texts) == 1
 
 
 def test_induce_drops_duplicates_by_canonical_form():
     text = 'RULE near FOR make: FAIL IF NOT ("table" in near_objects)'
     spaced = 'RULE near FOR make: FAIL IF NOT ( "table" in near_objects )'
-    existing = RuleSet((_entry(text),), 6)
-    result = induce_rules(_window_with_failure(), existing, TextProposer([text, spaced]))
-    assert result.new_texts == ()
+    existing = (_entry(text),)
+    result = induce_rules(_window_with_failure(), existing, TextProposer([text, spaced]), 0)
+    assert result.new_entries == ()
+
+
+def test_induce_compiles_each_new_rule_with_a_unique_id():
+    text = 'RULE near FOR make: FAIL IF NOT ("table" in near_objects)'
+    result = induce_rules(_window_with_failure(), (_entry(text),), TextProposer([
+        text.replace("table", "furnace"), "RULE ??? broken text",
+    ]), 4)
+    [entry] = result.new_entries
+    assert (entry.id, entry.iteration) == ("near__2", 4)
+    assert entry.ast == replace(parse(entry.source), id="near__2")
+    assert result.invalid_texts == ("RULE ??? broken text",)
+
+
+def test_renamed_rule_is_not_accepted_again():
+    """A rule renamed on an id collision duplicates its own text in every
+    later window and call: equality ignores the id."""
+    text = 'RULE near FOR make: FAIL IF NOT ("table" in near_objects)'
+    proposer = TextProposer([text, text.replace("table", "furnace")])
+    config = make_config("default", seed=3)
+    real, predicted = _aligned_pair(config, steps=40)
+    assert len(real.transitions) > LearnerConfig().window  # two induction windows
+    state = LearnerState()
+    for _ in range(2):
+        rules = ns_learning(predicted, real, state, proposer,
+                            LearnerConfig(prune=False), tool_tiers=TIERS)
+        assert [e.id for e in rules.entries] == ["near", "near__2"]
 
 
 def test_oracle_emits_only_for_failed_actions():
@@ -334,7 +360,7 @@ def _aligned_pair(config, steps=60):
 def test_ns_learning_cold_start_yields_positive_cover():
     config = make_config("default", seed=3)
     real, predicted = _aligned_pair(config)
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     state.sg = SceneGraph.initial(sorted(config.terrain_table))
     rules = ns_learning(predicted, real, state, OracleProposer(config),
                         LearnerConfig(), tool_tiers=TIERS)
@@ -347,7 +373,7 @@ def test_ns_learning_cold_start_yields_positive_cover():
 def test_ns_learning_is_idempotent_for_deterministic_proposer():
     config = make_config("default", seed=3)
     real, predicted = _aligned_pair(config)
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     first = ns_learning(predicted, real, state, OracleProposer(config),
                         LearnerConfig(), tool_tiers=TIERS)
     second = ns_learning(predicted, real, state, OracleProposer(config),
@@ -361,7 +387,7 @@ def test_ns_learning_is_idempotent_for_deterministic_proposer():
 def test_ns_learning_limit_one_keeps_max_gain_rule():
     config = make_config("default", seed=3)
     real, predicted = _aligned_pair(config)
-    state = LearnerState(rules=RuleSet((), 1))
+    state = LearnerState()
     rules = ns_learning(predicted, real, state, OracleProposer(config),
                         LearnerConfig(limit=1), tool_tiers=TIERS)
     assert len(rules) == 1
@@ -371,10 +397,10 @@ def test_ns_learning_limit_one_keeps_max_gain_rule():
 def test_ns_learning_no_prune_keeps_everything_parsed():
     config = make_config("default", seed=3)
     real, predicted = _aligned_pair(config)
-    pruned_state = LearnerState(rules=RuleSet((), 6))
+    pruned_state = LearnerState()
     pruned = ns_learning(predicted, real, pruned_state, OracleProposer(config),
                          LearnerConfig(prune=True), tool_tiers=TIERS)
-    open_state = LearnerState(rules=RuleSet((), 6))
+    open_state = LearnerState()
     unpruned = ns_learning(predicted, real, open_state, OracleProposer(config),
                            LearnerConfig(prune=False), tool_tiers=TIERS)
     assert len(unpruned) >= len(pruned)
@@ -384,7 +410,7 @@ def test_cover_rate_monotone_over_iterations():
     config = make_config("default", seed=4)
     window = LearnerConfig().window
     real, predicted = _aligned_pair(config, steps=5 * window)
-    state = LearnerState(rules=RuleSet((), 6))
+    state = LearnerState()
     state.sg = SceneGraph.initial(sorted(config.terrain_table))
     frozen = [
         (r, p.outcome)
@@ -407,12 +433,12 @@ def test_cover_rate_monotone_over_iterations():
 def test_rule_set_rejects_duplicate_ids():
     entry = _entry('RULE dup FOR make: FAIL IF NOT ("table" in near_objects)')
     with pytest.raises(ValueError):
-        RuleSet((entry, entry), 6)
+        RuleSet((entry, entry))
 
 
 def test_rule_set_json_round_trip():
     entry = _entry('RULE near FOR make: FAIL IF NOT ("table" in near_objects)', iteration=2)
-    restored = RuleSet.from_json(RuleSet((entry,), 6).to_json(), 6)
+    restored = RuleSet.from_json(RuleSet((entry,)).to_json())
     assert restored.entries[0].ast == entry.ast
     assert restored.entries[0].iteration == 2
 
@@ -437,7 +463,7 @@ def test_rule_set_reload_honors_stored_ids_after_collision():
         {"id": "near", "source": text},
         {"id": "near__2", "source": text.replace("NOT ", "")},
     ]
-    restored = RuleSet.from_json(doc, 6)
+    restored = RuleSet.from_json(doc)
     assert [e.id for e in restored.entries] == ["near", "near__2"]
 
 
@@ -451,10 +477,10 @@ def test_watermark_skips_the_checked_prefix():
     ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
     other = Transition(make_obs(), Action("sleep", {}), Outcome(True, "ok"), make_obs())
     watermark = {rule.ast: 2}
-    kept = drop_invalid(RuleSet((rule,), 6), [ok, ok, other], KnowledgeGraph.empty(),
+    kept = drop_invalid(RuleSet((rule,)), [ok, ok, other], KnowledgeGraph.empty(),
                         SceneGraph(), tool_tiers=TIERS, watermark=watermark)
     assert len(kept) == 1 and watermark == {rule.ast: 3}
-    kept = drop_invalid(RuleSet((rule,), 6), [ok, ok, other, ok], KnowledgeGraph.empty(),
+    kept = drop_invalid(RuleSet((rule,)), [ok, ok, other, ok], KnowledgeGraph.empty(),
                         SceneGraph(), tool_tiers=TIERS, watermark=watermark)
     assert len(kept) == 0 and watermark == {}
 
@@ -465,7 +491,7 @@ def test_watermark_is_keyed_by_ast_not_id():
     obs = make_obs(near=("table",))
     ok = Transition(obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(True, "ok"), obs)
     watermark = {valid.ast: 1}
-    kept = drop_invalid(RuleSet((reused,), 6), [ok], KnowledgeGraph.empty(), SceneGraph(),
+    kept = drop_invalid(RuleSet((reused,)), [ok], KnowledgeGraph.empty(), SceneGraph(),
                         tool_tiers=TIERS, watermark=watermark)
     assert len(kept) == 0
 
@@ -541,7 +567,7 @@ def test_watermark_drop_invalid_matches_from_scratch(ops):
     after each history append, KG merge, SG update, tool-tier switch or
     history rewrite, the incremental check equals a from-scratch one."""
     (real, _), locations = _differential_probe()
-    pool = RuleSet(tuple(_entry(t) for t in DIFFERENTIAL_POOL if "twin" not in t), 20)
+    pool = RuleSet(tuple(_entry(t) for t in DIFFERENTIAL_POOL if "twin" not in t))
     history = []
     kg, sg, tiers = KnowledgeGraph.empty(), SceneGraph.initial(locations), TIERS
     validity = ValidityWatermark()
@@ -595,7 +621,7 @@ def test_incremental_drop_invalid_matches_from_scratch(offset, limit, steps):
         return got
 
     proposer = _ScriptedProposer()
-    state = LearnerState(rules=RuleSet((), limit))
+    state = LearnerState()
     state.sg = SceneGraph.initial(locations)
     tiers = TIERS
     cursor = offset
