@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .core import FORMAT
+
 
 class SchemaError(ValueError):
     def __init__(self, path: str, detail: str):
@@ -221,10 +223,13 @@ def render_trajectory(text: str, path: str) -> str:
         raise SchemaError(path, f"line 1 is not JSON ({exc})") from exc
     if not isinstance(head, dict):
         raise SchemaError(path, "line 1 is not a JSON object")
-    meta = head.get("meta", {})
-    if not isinstance(meta, dict):
-        raise SchemaError(path, "line 1: field 'meta' has the wrong type")
-    out = [f"trajectory: {len(lines) - 1} transitions "
+    if head.get("format") != FORMAT:
+        raise SchemaError(
+            path, f"line 1: not a format-{FORMAT} trajectory file (format {head.get('format')!r})"
+        )
+    meta = _require(head, "meta", path, "line 1", dict)
+    kind = "predicted trajectory (delta against the real one)" if "delta" in head else "trajectory"
+    out = [f"{kind}: {len(lines) - 1} transitions "
            f"(seed {meta.get('seed')}, config {meta.get('config_id')!r})"]
     for i, line in enumerate(lines[1:], 1):
         try:
@@ -234,8 +239,7 @@ def render_trajectory(text: str, path: str) -> str:
         if not isinstance(record, dict):
             raise SchemaError(path, f"line {i + 1}: transition is not a JSON object")
         try:
-            action = record["action"]
-            outcome = record["outcome"]
+            action, outcome, _ = record["action"], record["outcome"], record["next_obs"]
         except KeyError as exc:
             raise SchemaError(path, f"line {i + 1}: malformed transition ({exc})") from exc
         try:

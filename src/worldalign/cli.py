@@ -74,8 +74,10 @@ class ExperimentSpec:
         load_config(self.config_id)  # raises UnsolvableConfig early
 
     def to_json(self, fields: Sequence[str] | None = None) -> dict:
+        """The manifest's spec echo: `fields` (all by default) except `out`,
+        so that a manifest does not depend on where the run was written."""
         data = asdict(self)
-        return data if fields is None else {name: data[name] for name in fields}
+        return {name: data[name] for name in fields or data if name != "out"}
 
 
 def _target_product(target: str | None) -> str:
@@ -104,7 +106,7 @@ def _run_one_trial(spec: ExperimentSpec, trial_index: int) -> dict:
     def write_iteration(iteration, episode_config, result, state) -> None:
         iter_dir = trial_dir / f"iter_{iteration:02d}"
         write_text(iter_dir / "trajectory.ndjson", result.real.to_ndjson())
-        write_text(iter_dir / "predicted.ndjson", result.predicted.to_ndjson())
+        write_text(iter_dir / "predicted.ndjson", result.predicted.to_ndjson(result.real))
         write_json(iter_dir / "metrics.json", result.metrics)
         write_json(iter_dir / "rules.json", state.rules.to_json())
         write_json(iter_dir / "kg.json", state.kg.to_json())
@@ -209,10 +211,10 @@ def cmd_inspect(path: str) -> int:
     return 0
 
 
-def _read_trajectory(path: str) -> Trajectory:
+def _read_trajectory(path: str, real: Trajectory | None = None) -> Trajectory:
     text = read_text(path)
     try:
-        return Trajectory.from_ndjson(text)
+        return Trajectory.from_ndjson(text, real)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(path, f"not a trajectory file ({exc!r})") from exc
 
@@ -256,10 +258,10 @@ def cmd_prune(
         mispredictions = _joined_mispredictions(transitions_path)
     else:
         # A run's own pair of files: the real trajectory and the base
-        # predictor's; a length or (obs, action) mismatch is a ValueError.
-        _, incorrect = classify_transitions(
-            _read_trajectory(transitions_path), _read_trajectory(predicted_path)
-        )
+        # predictor's, a delta against it; a length or action mismatch is a
+        # ValueError.
+        real = _read_trajectory(transitions_path)
+        _, incorrect = classify_transitions(real, _read_trajectory(predicted_path, real))
         mispredictions = list(zip(incorrect.transitions, incorrect.predictions))
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS

@@ -49,6 +49,9 @@ def has_tool_at_least(
     return any(inventory.get(t, 0) > 0 for t in tiers[tiers.index(tier):])
 
 
+FORMAT = 2  # the trajectory file format `Trajectory.to_ndjson` writes
+
+
 class LengthMismatch(ValueError):
     """Real and predicted trajectories differ in length."""
 
@@ -57,9 +60,14 @@ class PrefixMismatch(ValueError):
     """Real and predicted trajectories diverge in an (obs, action) pair."""
 
 
+# Built once: `json.dumps` with non-default arguments builds a new encoder on
+# every call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: object) -> str:
-    """Serialize to JSON with a byte-stable layout."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Serialize to JSON with a byte-stable layout (sorted keys, no spaces)."""
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 @dataclass(frozen=True)
@@ -266,13 +274,6 @@ class Outcome:
         )
 
 
-def _observation_text(obs: Observation, texts: dict[int, tuple[Observation, str]]) -> str:
-    entry = texts.get(id(obs))
-    if entry is None:
-        entry = texts[id(obs)] = (obs, obs.canonical())
-    return entry[1]
-
-
 @dataclass(frozen=True)
 class Transition:
     obs: Observation
@@ -299,20 +300,13 @@ class Transition:
             Observation.from_json(data["next_obs"], pool),
         )
 
-    def canonical(self, texts: dict[int, tuple[Observation, str]] | None = None) -> str:
+    def canonical(self) -> str:
         """`dumps_canonical(self.to_json())`, composed from fragments in the
-        canonical key order `action`, `next_obs`, `obs`, `outcome`.
-
-        `texts` maps `id(observation)` to the observation and its text, so a
-        writer that passes one map over many transitions composes each shared
-        observation once; holding the observation keeps its id from being
-        reused while the map lives.
-        """
-        texts = {} if texts is None else texts
+        canonical key order `action`, `next_obs`, `obs`, `outcome`."""
         return (
             f'{{"action":{dumps_canonical(self.action.to_json())}'
-            f',"next_obs":{_observation_text(self.next_obs, texts)}'
-            f',"obs":{_observation_text(self.obs, texts)}'
+            f',"next_obs":{self.next_obs.canonical()}'
+            f',"obs":{self.obs.canonical()}'
             f',"outcome":{dumps_canonical(self.outcome.to_json())}}}'
         )
 
@@ -352,34 +346,80 @@ class Trajectory:
     def validate_chain(self) -> None:
         """Check temporal consistency (real trajectories only: step t's
         next_obs is step t+1's obs)."""
-        for i in range(len(self.transitions) - 1):
-            if self.transitions[i].next_obs != self.transitions[i + 1].obs:
+        for i, (t, after) in enumerate(zip(self.transitions, self.transitions[1:])):
+            if t.next_obs is not after.obs and t.next_obs != after.obs:
                 raise ValueError(f"trajectory chain broken between steps {i} and {i + 1}")
 
-    def to_ndjson(self) -> str:
-        """A meta line, then one canonical line per transition.  Each
-        observation instance is composed once per call, however many
-        transitions share it."""
-        texts: dict[int, tuple[Observation, str]] = {}
-        lines = [dumps_canonical({"meta": {"seed": self.seed, "config_id": self.config_id}})]
-        lines.extend(t.canonical(texts) for t in self.transitions)
+    def to_ndjson(self, real: "Trajectory | None" = None) -> str:
+        """Format 2: a head line, then one `{"action","next_obs","outcome"}`
+        line per transition, each in canonical JSON.
+
+        Alone, this is a real trajectory, which must chain (ValueError
+        otherwise): the head holds `format`, `meta` and `obs`, the first
+        observation (null when there is none), and step t+1's obs is step
+        t's `next_obs`.  Given the `real` trajectory it was predicted
+        along, this is a delta against it: the head holds `"delta":"real"`
+        in place of `obs`, and step t's obs is the real step t's, which must
+        match (LengthMismatch / PrefixMismatch otherwise).  In both, a
+        `next_obs` equal to the step's own obs is written as the reference
+        `"obs"`, so each observation is composed at most once.
+        """
+        steps = self.transitions
+        meta = dumps_canonical({"seed": self.seed, "config_id": self.config_id})
+        if real is None:
+            self.validate_chain()
+            first = steps[0].obs.canonical() if steps else "null"
+            lines = [f'{{"format":{FORMAT},"meta":{meta},"obs":{first}}}']
+        else:
+            _same_length(real, len(steps))
+            for i, (r, p) in enumerate(zip(real.transitions, steps)):
+                if p.obs is not r.obs and p.obs != r.obs:
+                    raise PrefixMismatch(f"obs diverge at index {i}")
+            lines = [f'{{"delta":"real","format":{FORMAT},"meta":{meta}}}']
+        for t in steps:
+            nxt = t.next_obs
+            nxt_text = '"obs"' if nxt is t.obs or nxt == t.obs else nxt.canonical()
+            lines.append(
+                f'{{"action":{dumps_canonical(t.action.to_json())}'
+                f',"next_obs":{nxt_text}'
+                f',"outcome":{dumps_canonical(t.outcome.to_json())}}}'
+            )
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_ndjson(text: str) -> "Trajectory":
-        """Parse `to_ndjson` output; equal visible objects within the file
-        are interned to one instance."""
+    def from_ndjson(text: str, real: "Trajectory | None" = None) -> "Trajectory":
+        """Parse `to_ndjson(real)` output; a delta file needs the same
+        `real`.  Step t+1's obs is step t's `next_obs` instance, and equal
+        visible objects within the file are interned to one instance."""
         lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            return Trajectory(())
-        head = json.loads(lines[0])
-        if "meta" in head:
-            meta, body = head["meta"], lines[1:]
-        else:
-            meta, body = {"seed": 0, "config_id": ""}, lines
+        head = json.loads(lines[0]) if lines else None
+        found = head.get("format") if isinstance(head, dict) else None
+        if found != FORMAT:
+            raise ValueError(f"not a format-{FORMAT} trajectory file (format {found!r})")
+        if ("delta" in head) != (real is not None):
+            raise ValueError("a delta file is read with its real trajectory, a real file alone")
+        body = lines[1:]
+        if real is not None:
+            _same_length(real, len(body))
         pool = VisibleObjectPool()
-        transitions = tuple(Transition.from_json(json.loads(line), pool) for line in body)
-        return Trajectory(transitions, int(meta["seed"]), str(meta["config_id"]))
+        obs = Observation.from_json(head["obs"], pool) if body and real is None else None
+        steps = []
+        for i, line in enumerate(body):
+            record = json.loads(line)
+            if real is not None:
+                obs = real.transitions[i].obs
+            nxt = record["next_obs"]
+            next_obs = obs if nxt == "obs" else Observation.from_json(nxt, pool)
+            action = Action.from_json(record["action"])
+            steps.append(Transition(obs, action, Outcome.from_json(record["outcome"]), next_obs))
+            obs = next_obs
+        meta = head["meta"]
+        return Trajectory(tuple(steps), int(meta["seed"]), str(meta["config_id"]))
+
+
+def _same_length(real: Trajectory, predicted: int) -> None:
+    if len(real) != predicted:
+        raise LengthMismatch(f"real has {len(real)} transitions, predicted {predicted}")
 
 
 @dataclass(frozen=True)
@@ -407,8 +447,7 @@ def classify_transitions(
     A prediction is correct iff its success bit matches the real outcome;
     full next observations are deliberately not compared.
     """
-    if len(real) != len(predicted):
-        raise LengthMismatch(f"real has {len(real)} transitions, predicted {len(predicted)}")
+    _same_length(real, len(predicted))
     for i, (r, p) in enumerate(zip(real.transitions, predicted.transitions)):
         if r.obs != p.obs or r.action != p.action:
             raise PrefixMismatch(f"(obs, action) diverge at index {i}")

@@ -194,37 +194,31 @@ def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
 
     Monotone: vertices and edges are only ever added.  The terrain the agent
     stands on becomes Explored; every visible object type gains an edge from
-    that location (``adjacent`` for known locations, ``contains`` otherwise).
+    that location (``adjacent`` for known locations, ``contains`` otherwise),
+    appended in first-appearance order.  An observation that adds nothing
+    returns `sg` itself, so callers that compare graphs hit on identity.
     """
     here = obs.position
-    vertices = set(sg.vertices)
-    vertices.add(here)
     known_locations = {loc for loc, _ in sg.status}
-    edges = list(sg.edges)
-    seen = set(edges)
+    seen = set(sg.edges)
+    added = []
     for vis in obs.visible_objects:
         kind = vis.type
-        vertices.add(kind)
-        if kind in known_locations or kind == here:
-            if kind == here:
-                continue
-            edge = (here, kind, "adjacent")
-        else:
-            edge = (here, kind, "contains")
+        if kind == here:
+            continue
+        edge = (here, kind, "adjacent" if kind in known_locations else "contains")
         if edge not in seen:
             seen.add(edge)
-            edges.append(edge)
-    status = []
-    found = False
-    for loc, st in sg.status:
-        if loc == here:
-            status.append((loc, EXPLORED))
-            found = True
-        else:
-            status.append((loc, st))
-    if not found:
-        status.append((here, EXPLORED))
-    return SceneGraph(frozenset(vertices), tuple(edges), tuple(status))
+            added.append(edge)
+    kinds = {vis.type for vis in obs.visible_objects}
+    kinds.add(here)
+    here_status = [st for loc, st in sg.status if loc == here]
+    if not added and kinds <= sg.vertices and set(here_status) == {EXPLORED}:
+        return sg
+    status = tuple((loc, EXPLORED if loc == here else st) for loc, st in sg.status)
+    if not here_status:
+        status += ((here, EXPLORED),)
+    return SceneGraph(sg.vertices | kinds, sg.edges + tuple(added), status)
 
 
 def sg_locate(sg: SceneGraph, item: str) -> list[str]:

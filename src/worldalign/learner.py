@@ -132,8 +132,8 @@ class ValidityWatermark:
         Every entry goes when the tool tiers change or the history is not
         an extension of the one last checked (its last checked transition is
         no longer in place); only the graph-reading rules' entries go when
-        the graphs' content changed.  Graphs are compared by value, since
-        every update returns a new instance.
+        the graphs' content changed.  Graphs are compared by value; an
+        unchanged scene graph is the same instance, which compares at once.
         """
         tool_tiers = tuple(tool_tiers)
         n = self.checked

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import strategies as st
 
@@ -118,17 +120,25 @@ outcomes = st.booleans().flatmap(
 
 
 @st.composite
-def trajectories(draw) -> Trajectory:
-    """Trajectories over a few observations that share VisibleObject
-    instances; transitions reuse observation instances, and a transition's
-    `next_obs` may be its own `obs` (as a predictor's estimate can be)."""
+def runs(draw) -> tuple[Trajectory, Trajectory]:
+    """A real trajectory that chains (0 to 6 steps; a step's `next_obs` may
+    be its own `obs`, or an equal copy of it) and a prediction along it: the
+    same obs and actions, other outcomes, and `next_obs` estimates that do
+    and do not equal the step's obs."""
     pool = draw(st.lists(visible_objects, min_size=1, max_size=6))
     seen = draw(st.lists(observations_over(st.sampled_from(pool)), min_size=1, max_size=4))
-    steps = []
-    for _ in range(draw(st.integers(0, 6))):
+    seed, config_id = draw(st.integers(0, 99)), draw(st.sampled_from(["", "taskdep", "día"]))
+
+    def observation():
         obs = draw(st.sampled_from(seen))
-        next_obs = obs if draw(st.booleans()) else draw(st.sampled_from(seen))
-        steps.append(Transition(obs, draw(actions), draw(outcomes), next_obs))
-    return Trajectory(
-        tuple(steps), draw(st.integers(0, 99)), draw(st.sampled_from(["", "taskdep", "día"]))
-    )
+        return copy.copy(obs) if draw(st.booleans()) else obs
+
+    obs = observation()
+    real, predicted = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        action, next_obs = draw(actions), observation()
+        real.append(Transition(obs, action, draw(outcomes), next_obs))
+        predicted.append(Transition(obs, action, draw(outcomes), observation()))
+        obs = next_obs
+    return (Trajectory(tuple(real), seed, config_id),
+            Trajectory(tuple(predicted), seed, config_id))

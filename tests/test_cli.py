@@ -102,14 +102,27 @@ def test_inspect_corrupt_file_names_offending_field(tmp_path, capsys):
     assert "transitions" in err
 
 
-def _trajectory_with(edit) -> str:
-    """A one-transition trajectory file whose transition record `edit` alters."""
-    from worldalign.core import Action, dumps_canonical
+def _one_step_trajectory():
+    from worldalign.core import Action, Trajectory
     from conftest import make_transition
 
-    record = make_transition(Action("sleep", {}), True, feedback="rested").to_json()
-    meta = dumps_canonical({"meta": {"seed": 1, "config_id": "default"}})
-    return meta + "\n" + json.dumps(edit(record)) + "\n"
+    t = make_transition(Action("sleep", {}), True, feedback="rested")
+    return Trajectory((t,), 1, "default")
+
+
+def _trajectory_with(edit) -> str:
+    """A one-transition trajectory file whose transition record `edit` alters."""
+    head, line = _one_step_trajectory().to_ndjson().splitlines()
+    return head + "\n" + json.dumps(edit(json.loads(line))) + "\n"
+
+
+def _format_1(traj) -> str:
+    """`traj` as format 1 wrote it: a meta line, then each transition whole
+    (`Transition.canonical()`)."""
+    from worldalign.core import dumps_canonical
+
+    meta = dumps_canonical({"meta": {"seed": traj.seed, "config_id": traj.config_id}})
+    return "\n".join([meta, *(t.canonical() for t in traj.transitions)]) + "\n"
 
 
 def _without(key, *path):
@@ -134,6 +147,14 @@ MALFORMED = {
     "line_is_an_array": (
         "trajectory.ndjson", lambda: _trajectory_with(lambda record: [record]),
         "line 2: transition is not a JSON object",
+    ),
+    "line_without_next_obs": (
+        "trajectory.ndjson", lambda: _trajectory_with(_without("next_obs")),
+        "line 2: malformed transition ('next_obs')",
+    ),
+    "format_1_file": (
+        "trajectory.ndjson", lambda: _format_1(_one_step_trajectory()),
+        "line 1: not a format-2 trajectory file (format None)",
     ),
     "kg_edge_without_u": (
         "kg.json",
@@ -344,6 +365,13 @@ def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):
     assert prune(short) == 2
     assert "real has" in capsys.readouterr().err
 
+    # A predicted file is a delta against the real one: it cannot stand in
+    # for the real trajectory.
+    assert run_cli(["prune", "--rules", run / "rules.json",
+                    "--transitions", run / "predicted.ndjson",
+                    "--predicted", run / "predicted.ndjson", "--out", tmp_path / "pruned"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {run / 'predicted.ndjson'}: ")
+
     record = json.loads(predicted_lines[1])
     record["action"] = {"name": "explore", "args": {"direction": "north", "steps": 97}}
     diverged = tmp_path / "diverged.ndjson"
@@ -424,9 +452,10 @@ def test_manifest_echoes_only_the_options_read(tmp_path):
     assert run_cli(["coverage-curve", *FAST, "--iterations", "1", "--out", curve]) == 0
     abl_spec = json.loads((abl / "manifest.json").read_text())["spec"]
     curve_spec = json.loads((curve / "manifest.json").read_text())["spec"]
-    assert set(abl_spec) == {"config_id", "seed", "out", "trials", "iterations",
+    # `out` is read but not echoed: the manifest would depend on the path.
+    assert set(abl_spec) == {"config_id", "seed", "trials", "iterations",
                              "replan_limit", "noise", "workers", "limits"}
-    assert set(curve_spec) == {"config_id", "seed", "out", "iterations", "proposer", "noise"}
+    assert set(curve_spec) == {"config_id", "seed", "iterations", "proposer", "noise"}
 
 
 ITERATION_FILES = {"trajectory.ndjson", "predicted.ndjson", "metrics.json", "rules.json",
@@ -470,14 +499,15 @@ def test_backend_failure_exits_2_and_keeps_finished_iterations(
     assert not list(out.rglob("checkpoint.json"))
 
 
-def tree_digest(root, skip=("manifest.json",)):
-    """SHA-256 over every file's relative path and bytes, in path order."""
+def tree_digest(root, skip=()):
+    """SHA-256 over every file's relative path and bytes, in path order,
+    leaving out the relative paths in `skip`."""
     import hashlib
 
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         rel = path.relative_to(root).as_posix()
-        if rel in skip:  # the manifest echoes the absolute --out
+        if rel in skip:
             continue
         digest.update(rel.encode() + b"\0")
         digest.update(path.read_bytes())
@@ -490,31 +520,81 @@ GOLDEN_RUNS = {
     "simulate_step_cadence_noisy": (
         ["simulate", "--config", "all_three", "--cadence", "step", "--proposer", "noisy",
          "--trials", "1", "--iterations", "2", "--target", "none"],
-        "8492d712b33e24418073176f8edd1b6d811fdddde546eae0f6abb5ccb8fc4b89",
+        "2d5fa01cca1b950b7b21e7ecac475b20d44e605edf6f0f7cd8b903ea9c2cf542",
     ),
     "simulate_episode_cadence_taskdep": (
         ["simulate", "--config", "taskdep", "--trials", "1", "--iterations", "2"],
-        "360525559c7f43ca598b0cc0cfd7253f331db804c04df11e3150e0bdc639c45d",
+        "5fcd11c32a54bf5638319bad7a9853afa771fd641cf793026c69ff0daf4b14ee",
     ),
     "simulate_episode_cadence_taskdep_noisy": (
         ["simulate", "--config", "taskdep", "--proposer", "noisy", "--trials", "1",
          "--iterations", "3"],
-        "f95c0a486939d2e6fad1c7e76550ed7c76f54c6a6162602bcd02166beac80ee6",
+        "8ab12afbe8d4918ed196028004785bff7990bf3277703813575d360af9433c5c",
     ),
     "ablate_limit": (
         ["ablate-limit", *FAST, "--trials", "2", "--iterations", "2", "--limits", "3,1"],
-        "ba83d9ad9261213db115069ebaac4ec5602a61a2f8345550076a7c5be12fd90c",
+        "515bdbe4c0a37f44bdf4b5571db22a7327a66454b653eb922c42a181639c7dcc",
     ),
     "coverage_curve_noisy": (
         ["coverage-curve", *FAST, "--proposer", "noisy", "--iterations", "4"],
-        "f43b2e037de95d7838acddbbbccfc7ec108145b281312e57908148c99564367b",
+        "3092a5a308dc02fec5fbe7c5c0b79977282f01fac2657d410310e4077e0c240f",
     ),
 }
 
 
+@pytest.fixture(scope="module")
+def golden_tree(tmp_path_factory):
+    """The output directory of a golden run, run once per module."""
+    trees = {}
+
+    def tree(name):
+        if name not in trees:
+            out = tmp_path_factory.mktemp("golden") / name
+            assert run_cli([*GOLDEN_RUNS[name][0], "--out", out]) == 0
+            trees[name] = out
+        return trees[name]
+
+    return tree
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_artifacts_match_golden_digest(tmp_path, name):
-    args, expected = GOLDEN_RUNS[name]
-    out = tmp_path / name
-    assert run_cli([*args, "--out", out]) == 0
-    assert tree_digest(out) == expected
+def test_artifacts_match_golden_digest(golden_tree, name):
+    assert tree_digest(golden_tree(name)) == GOLDEN_RUNS[name][1]
+
+
+# The digests of the golden runs before trajectory format 2, over the whole
+# tree but its manifest (which then echoed the absolute --out).
+FORMAT_1_DIGESTS = {
+    "simulate_step_cadence_noisy":
+        "8492d712b33e24418073176f8edd1b6d811fdddde546eae0f6abb5ccb8fc4b89",
+    "simulate_episode_cadence_taskdep":
+        "360525559c7f43ca598b0cc0cfd7253f331db804c04df11e3150e0bdc639c45d",
+    "simulate_episode_cadence_taskdep_noisy":
+        "f95c0a486939d2e6fad1c7e76550ed7c76f54c6a6162602bcd02166beac80ee6",
+    "ablate_limit": "ba83d9ad9261213db115069ebaac4ec5602a61a2f8345550076a7c5be12fd90c",
+    "coverage_curve_noisy": "f43b2e037de95d7838acddbbbccfc7ec108145b281312e57908148c99564367b",
+}
+
+
+def _expand_to_format_1(root) -> None:
+    """Rewrite every iteration's trajectory pair in format 1, the predicted
+    steps' obs taken from the real file."""
+    from worldalign.core import Trajectory
+
+    for real_path in root.rglob("trajectory.ndjson"):
+        predicted_path = real_path.with_name("predicted.ndjson")
+        real = Trajectory.from_ndjson(real_path.read_text())
+        predicted = Trajectory.from_ndjson(predicted_path.read_text(), real)
+        real_path.write_text(_format_1(real))
+        predicted_path.write_text(_format_1(predicted))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_runs_expand_to_their_format_1_digests(golden_tree, tmp_path, name):
+    """Format 2 loses nothing: expanded back, each golden tree is the one
+    format 1 wrote."""
+    import shutil
+
+    expanded = shutil.copytree(golden_tree(name), tmp_path / name)
+    _expand_to_format_1(expanded)
+    assert tree_digest(expanded, skip=("manifest.json",)) == FORMAT_1_DIGESTS[name]

@@ -20,7 +20,7 @@ from worldalign.core import (
     dumps_canonical,
 )
 
-from conftest import actions, make_obs, make_transition, observations, trajectories
+from conftest import actions, make_obs, make_transition, observations, runs
 
 
 # -- construction invariants -------------------------------------------------
@@ -110,32 +110,102 @@ def test_transition_digest_is_memoised_outside_equality_and_pickling():
 
 def test_trajectory_ndjson_round_trip():
     t = make_transition(Action("sleep", {}), True)
-    traj = Trajectory((t, t), seed=42, config_id="default")
-    assert Trajectory.from_ndjson(traj.to_ndjson()) == traj
+    for steps in ((), (t,), (t, t)):  # empty, one step, two
+        traj = Trajectory(steps, seed=42, config_id="default")
+        assert Trajectory.from_ndjson(traj.to_ndjson()) == traj
+        assert Trajectory.from_ndjson(traj.to_ndjson(traj), traj) == traj
 
 
-@given(trajectories())
-def test_composed_ndjson_and_digest_match_the_reference(traj):
-    # Reference: one canonical dump per line and per digest blob.
-    meta = dumps_canonical({"meta": {"seed": traj.seed, "config_id": traj.config_id}})
-    lines = [meta] + [dumps_canonical(t.to_json()) for t in traj.transitions]
-    assert traj.to_ndjson() == "\n".join(lines) + "\n"
-    for t, line in zip(traj.transitions, lines[1:]):
+def _reference_lines(traj, head):
+    """Format 2 dumped whole, one canonical dump per line."""
+    lines = [dumps_canonical(head)]
+    for t in traj.transitions:
+        next_obs = "obs" if t.next_obs == t.obs else t.next_obs.to_json()
+        lines.append(dumps_canonical(
+            {"action": t.action.to_json(), "next_obs": next_obs, "outcome": t.outcome.to_json()}
+        ))
+    return "\n".join(lines) + "\n"
+
+
+@given(runs())
+def test_composed_ndjson_and_digest_match_the_reference(run):
+    real, predicted = run
+    meta = {"seed": real.seed, "config_id": real.config_id}
+    first = real.transitions[0].obs.to_json() if real.transitions else None
+    assert real.to_ndjson() == _reference_lines(real, {"format": 2, "meta": meta, "obs": first})
+    assert predicted.to_ndjson(real) == _reference_lines(
+        predicted, {"delta": "real", "format": 2, "meta": meta}
+    )
+    # Reference: one canonical dump per digest blob.
+    for t in real.transitions + predicted.transitions:
+        line = dumps_canonical(t.to_json())
         assert t.canonical() == line
         assert t.digest() == hashlib.sha1(line.encode()).hexdigest()[:12]
 
 
-@given(trajectories())
-def test_reader_interns_equal_visible_objects(traj):
-    text = traj.to_ndjson()
-    parsed = Trajectory.from_ndjson(text)
-    assert parsed == traj
-    assert parsed.to_ndjson() == text
-    first: dict[VisibleObject, VisibleObject] = {}
-    for t in parsed.transitions:
-        for obs in (t.obs, t.next_obs):
+@given(runs())
+def test_reader_interns_equal_visible_objects(run):
+    real, predicted = run
+    real_text, predicted_text = real.to_ndjson(), predicted.to_ndjson(real)
+    parsed = Trajectory.from_ndjson(real_text)
+    parsed_predicted = Trajectory.from_ndjson(predicted_text, parsed)
+    assert (parsed, parsed_predicted) == (real, predicted)
+    assert parsed.to_ndjson() == real_text
+    assert parsed_predicted.to_ndjson(parsed) == predicted_text
+    for t, after in zip(parsed.transitions, parsed.transitions[1:]):
+        assert after.obs is t.next_obs
+    for r, p in zip(parsed.transitions, parsed_predicted.transitions):
+        assert p.obs is r.obs
+    # Each file interns the objects of the observations it holds: the real
+    # file all of them, the delta file the estimates it does not refer to.
+    for observations in ([o for t in parsed.transitions for o in (t.obs, t.next_obs)],
+                         [t.next_obs for t in parsed_predicted.transitions
+                          if t.next_obs is not t.obs]):
+        first: dict[VisibleObject, VisibleObject] = {}
+        for obs in observations:
             for v in obs.visible_objects:
                 assert first.setdefault(v, v) is v
+
+
+def test_writer_rejects_what_the_format_cannot_express():
+    a = make_obs(position="grass")
+    b = make_obs(position="sand")
+    t1 = Transition(a, Action("sleep", {}), Outcome(True), b)
+    broken = Trajectory((t1, Transition(a, Action("sleep", {}), Outcome(True), a)))
+    with pytest.raises(ValueError, match="chain broken between steps 0 and 1"):
+        broken.to_ndjson()
+    real = Trajectory((t1,))
+    with pytest.raises(PrefixMismatch):  # a predicted obs that is not the real one
+        Trajectory((Transition(b, Action("sleep", {}), Outcome(False), b),)).to_ndjson(real)
+    with pytest.raises(LengthMismatch, match="real has 1 transitions, predicted 2"):
+        Trajectory((t1, t1)).to_ndjson(real)
+
+
+def test_reader_rejects_other_formats_and_a_delta_read_alone():
+    t = make_transition(Action("sleep", {}), True)
+    real = Trajectory((t,), 1, "default")
+    v1 = dumps_canonical({"meta": {"seed": 1, "config_id": "default"}}) + "\n" + t.canonical()
+    with pytest.raises(ValueError, match="not a format-2 trajectory file \\(format None\\)"):
+        Trajectory.from_ndjson(v1)
+    with pytest.raises(ValueError, match="delta file"):
+        Trajectory.from_ndjson(real.to_ndjson(real))
+    with pytest.raises(ValueError, match="delta file"):
+        Trajectory.from_ndjson(real.to_ndjson(), real)
+    with pytest.raises(LengthMismatch, match="real has 2"):
+        Trajectory.from_ndjson(real.to_ndjson(real), Trajectory((t, t)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+def test_dumps_canonical_equals_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def test_visible_object_text_is_memoised_outside_equality_hashing_repr_and_pickling():

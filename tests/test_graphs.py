@@ -18,7 +18,7 @@ from worldalign.graphs import (
     sg_update,
 )
 
-from conftest import make_obs
+from conftest import make_obs, observations_over, visible_objects
 
 edges_strategy = st.lists(
     st.builds(
@@ -202,6 +202,66 @@ def test_sg_monotonicity(positions):
         explored_before = {l for l, s in sg.status if s == EXPLORED}
         explored_after = {l for l, s in updated.status if s == EXPLORED}
         assert explored_after >= explored_before
+        sg = updated
+
+
+def _reference_sg_update(sg: SceneGraph, obs) -> SceneGraph:
+    """The fold `sg_update` replaced, which copies the whole graph on every
+    observation; kept as the reference it must equal."""
+    here = obs.position
+    vertices = set(sg.vertices)
+    vertices.add(here)
+    known_locations = {loc for loc, _ in sg.status}
+    edges = list(sg.edges)
+    seen = set(edges)
+    for vis in obs.visible_objects:
+        kind = vis.type
+        vertices.add(kind)
+        if kind in known_locations or kind == here:
+            if kind == here:
+                continue
+            edge = (here, kind, "adjacent")
+        else:
+            edge = (here, kind, "contains")
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    status = []
+    found = False
+    for loc, st_ in sg.status:
+        if loc == here:
+            status.append((loc, EXPLORED))
+            found = True
+        else:
+            status.append((loc, st_))
+    if not found:
+        status.append((here, EXPLORED))
+    return SceneGraph(frozenset(vertices), tuple(edges), tuple(status))
+
+
+# Locations overlap the observations' positions and visible types, so folds
+# add `adjacent` and `contains` edges; a location may repeat in the status,
+# with any status, as a graph read from JSON or built by hand can.
+LOCATIONS = ["grass", "sand", "césped", "stone", "石", "water"]
+scene_graphs = st.builds(
+    lambda status, extra: SceneGraph(
+        frozenset([loc for loc, _ in status] + extra), (), tuple(status)
+    ),
+    st.lists(st.tuples(st.sampled_from(LOCATIONS), st.sampled_from([EXPLORED, "Unexplored"])),
+             max_size=5),
+    st.lists(st.sampled_from(["cow", "table", "tree"]), max_size=3),
+)
+
+
+@given(scene_graphs, st.lists(visible_objects, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(observations_over(st.sampled_from(pool)), max_size=12)))
+def test_sg_update_matches_the_copying_fold_and_returns_an_unchanged_graph(sg, observations):
+    for obs in observations:
+        expected = _reference_sg_update(sg, obs)
+        updated = sg_update(sg, obs)
+        assert updated == expected
+        assert list(updated.edges) == list(expected.edges)  # first-appearance order
+        assert (updated is sg) == (expected == sg)
         sg = updated
 
 
