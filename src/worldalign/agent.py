@@ -631,7 +631,8 @@ class ExternalBackendPlanner:
 
     @classmethod
     def _parse_call(cls, reply: str) -> Action | None:
-        match = cls._CALL_RE.search(reply.strip().splitlines()[-1])
+        lines = reply.strip().splitlines()
+        match = cls._CALL_RE.search(lines[-1]) if lines else None
         if not match:
             return None
         name, arg_text = match.group(1), match.group(2).strip()
@@ -642,7 +643,7 @@ class ExternalBackendPlanner:
                     return None
                 key, value = part.split("=", 1)
                 value = value.strip().strip("\"'")
-                args[key.strip()] = int(value) if value.isdigit() else value
+                args[key.strip()] = int(value) if value.isdecimal() else value
         try:
             return Action(name, args)
         except ValueError:

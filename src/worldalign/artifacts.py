@@ -68,7 +68,7 @@ def _require(data, field: str, path: str, where: str = "", types: type | tuple =
 
 
 def render_rows(data: list, path: str) -> str:
-    header = f"{'trial':>5} {'iter':>4} {'reward':>8} {'score':>8} {'steps':>6} done"
+    header = f"{'trial':>5} {'iter':>4} {'reward':>8} {'score':>8} {'cover':>7} {'steps':>6} done"
     lines = [header]
     for i, row in enumerate(data):
         if not isinstance(row, dict) or "reward" not in row:
@@ -76,7 +76,8 @@ def render_rows(data: list, path: str) -> str:
         lines.append(
             f"{row.get('trial', 0):>5} {row.get('iteration', 0):>4} "
             f"{row['reward']:>8.2f} {row.get('score', 0.0):>8.2f} "
-            f"{row.get('steps', 0):>6} {'yes' if row.get('task_complete') else 'no'}"
+            f"{row.get('cover_rate', 0.0):>7.3f} {row.get('steps', 0):>6} "
+            f"{'yes' if row.get('task_complete') else 'no'}"
         )
     return "\n".join(lines)
 
@@ -120,6 +121,8 @@ def render_coverage(data: dict, path: str) -> str:
             rule_id = _require(step, "rule_id", path, where, str)
             gain = _require(step, "gain", path, where, int)
             lines.append(f"  pick {rule_id:<28} gain {gain}")
+        covered = sum(step["gain"] for step in selection)
+        lines.append(f"selected {len(selection)} rules covering {covered}/{len(transitions)}")
     return "\n".join(lines)
 
 
@@ -207,6 +210,8 @@ def render_curve(data: dict, path: str) -> str:
         raise SchemaError(path, "field 'series' is not an array of numbers")
     lines = [f"cover rate over {len(series) - 1} learning iterations "
              f"({data.get('misprediction_count', '?')} frozen mispredictions):"]
+    if data.get("defined") is False:
+        lines.append("  (no mispredictions: flagged zero)")
     for i, value in enumerate(series):
         bar = "#" * int(round(value * 40))
         lines.append(f"  iter {i:<3} {value:6.3f} {bar}")

@@ -143,17 +143,8 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
         "std": 0.0,
     }
     write_json(out / "summary.json", {"rows": summary})
-
-    print(f"{'trial':>5} {'iter':>4} {'reward':>8} {'score':>8} {'cover':>7} {'steps':>6} done")
-    for row in rows:
-        print(
-            f"{row['trial']:>5} {row['iteration']:>4} {row['reward']:>8.2f} "
-            f"{row['score']:>8.2f} {row['cover_rate']:>7.3f} {row['steps']:>6} "
-            f"{'yes' if row['task_complete'] else 'no'}"
-        )
-    for key in ("reward", "score"):
-        cell = summary[key]
-        print(f"{key}: {cell['mean']:.3f} +- {cell['std']:.3f} over {len(rows)} episodes")
+    print(inspect_path(out / "rows.json"))
+    print(inspect_path(out / "summary.json"))
     return 0
 
 
@@ -171,12 +162,7 @@ def cmd_ablate_limit(spec: ExperimentSpec, limits: list[int]) -> int:
         "spec": {**spec.to_json(COMMAND_FIELDS["ablate-limit"]), "limits": limits},
     })
     write_json(out / "ablation.json", {"arms": table})
-    print(f"{'arm':<14}{'reward':>18}{'score':>18}")
-    for name, row in table.items():
-        print(
-            f"{name:<14}{row['reward_mean']:>10.2f} +-{row['reward_std']:<5.2f}"
-            f"{row['score_mean']:>10.2f} +-{row['score_std']:<5.2f}"
-        )
+    print(inspect_path(out / "ablation.json"))
     return 0
 
 
@@ -200,9 +186,7 @@ def cmd_coverage_curve(spec: ExperimentSpec) -> int:
         "spec": spec.to_json(COMMAND_FIELDS["coverage-curve"]),
     })
     write_json(out / "curve.json", doc)
-    for i, value in enumerate(curve.series):
-        flag = "" if curve.defined else "  (no mispredictions: flagged zero)"
-        print(f"iteration {i}: cover rate {value:.3f}{flag}")
+    print(inspect_path(out / "curve.json"))
     return 0
 
 
@@ -261,8 +245,7 @@ def cmd_prune(
         # predictor's, a delta against it; a length or action mismatch is a
         # ValueError.
         real = _read_trajectory(transitions_path)
-        _, incorrect = classify_transitions(real, _read_trajectory(predicted_path, real))
-        mispredictions = list(zip(incorrect.transitions, incorrect.predictions))
+        mispredictions = classify_transitions(real, _read_trajectory(predicted_path, real))
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS
     )
@@ -270,11 +253,7 @@ def cmd_prune(
     out_dir = Path(out)
     write_json(out_dir / "coverage.json", matrix.to_json(trace, limit))
     write_json(out_dir / "rules.json", RuleSet(kept).to_json())
-    covered = sum(s.gain for s in trace)
-    print(f"{len(mispredictions)} mispredictions, {len(rules)} candidate rules")
-    for s in trace:
-        print(f"  pick {s.rule_id:<28} gain {s.gain}")
-    print(f"selected {len(trace)} rules covering {covered}/{len(mispredictions)}")
+    print(inspect_path(out_dir / "coverage.json"))
     return 0
 
 

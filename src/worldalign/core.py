@@ -422,46 +422,20 @@ def _same_length(real: Trajectory, predicted: int) -> None:
         raise LengthMismatch(f"real has {len(real)} transitions, predicted {predicted}")
 
 
-@dataclass(frozen=True)
-class TransitionSet:
-    """A classified slice of a trajectory pair: indices into the real
-    trajectory, the real transitions at those indices, and the outcomes the
-    base predictor claimed for them."""
-
-    indices: tuple[int, ...]
-    transitions: tuple[Transition, ...]
-    predictions: tuple[Outcome, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __bool__(self) -> bool:
-        return bool(self.indices)
-
-
 def classify_transitions(
     real: Trajectory, predicted: Trajectory
-) -> tuple[TransitionSet, TransitionSet]:
-    """Partition indices into correctly and incorrectly predicted sets.
+) -> list[tuple[Transition, Outcome]]:
+    """The mispredictions of an aligned pair, in step order: each real
+    transition whose predicted success bit differs from the real one, with
+    the outcome the base predictor claimed for it.
 
-    A prediction is correct iff its success bit matches the real outcome;
-    full next observations are deliberately not compared.
+    Full next observations are deliberately not compared.
     """
     _same_length(real, len(predicted))
+    mispredictions = []
     for i, (r, p) in enumerate(zip(real.transitions, predicted.transitions)):
         if r.obs != p.obs or r.action != p.action:
             raise PrefixMismatch(f"(obs, action) diverge at index {i}")
-
-    correct: list[int] = []
-    incorrect: list[int] = []
-    for i, (r, p) in enumerate(zip(real.transitions, predicted.transitions)):
-        (correct if p.outcome.success == r.outcome.success else incorrect).append(i)
-
-    def subset(indices: list[int]) -> TransitionSet:
-        return TransitionSet(
-            tuple(indices),
-            tuple(real.transitions[i] for i in indices),
-            tuple(predicted.transitions[i].outcome for i in indices),
-        )
-
-    return subset(correct), subset(incorrect)
+        if p.outcome.success != r.outcome.success:
+            mispredictions.append((r, p.outcome))
+    return mispredictions

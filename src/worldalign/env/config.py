@@ -381,17 +381,6 @@ _MOD_BUILDERS = {
 
 # The eight shipped world types: default, each single modification, each
 # pair, and all three combined.
-CONFIG_IDS = (
-    "default",
-    "terrain",
-    "survival",
-    "taskdep",
-    "terrain_survival",
-    "terrain_taskdep",
-    "survival_taskdep",
-    "all_three",
-)
-
 _COMBOS: dict[str, tuple[str, ...]] = {
     "default": (),
     "terrain": ("terrain",),
@@ -402,6 +391,7 @@ _COMBOS: dict[str, tuple[str, ...]] = {
     "survival_taskdep": ("survival", "taskdep"),
     "all_three": ("terrain", "survival", "taskdep"),
 }
+CONFIG_IDS = tuple(_COMBOS)
 
 
 def make_config(config_id: str, seed: int = 0) -> WorldConfig:

@@ -141,8 +141,7 @@ def coverage_curve(
     learner_config = LearnerConfig()
     window = learner_config.window
     real, predicted = run_probe(config, NaivePrior(config), iterations * window, window)
-    _, incorrect = classify_transitions(real, predicted)
-    frozen = list(zip(incorrect.transitions, incorrect.predictions))
+    frozen = classify_transitions(real, predicted)
 
     state = LearnerState()
     state.sg = SceneGraph.initial(MarsWorld(config).locations())

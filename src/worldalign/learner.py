@@ -451,10 +451,8 @@ def ns_learning(
     the whole history and old rules against the new transitions only (all
     of it again for graph-reading rules once the graphs changed).
     """
-    correct, incorrect = classify_transitions(real, pred)
-
     known = state.misprediction_keys()
-    for pair in zip(incorrect.transitions, incorrect.predictions):
+    for pair in classify_transitions(real, pred):
         key = misprediction_key(*pair)
         if key not in known:
             known.add(key)

@@ -190,12 +190,21 @@ def test_inspect_unknown_schema_errors(tmp_path):
         inspect_path(weird)
 
 
-def test_coverage_curve_command(tmp_path, capsys):
+def test_coverage_curve_command(tmp_path, capsys, monkeypatch):
+    from worldalign import experiments
+
     out = tmp_path / "curve"
     assert run_cli(["coverage-curve", *FAST, "--iterations", "3", "--out", out]) == 0
     curve = json.loads((out / "curve.json").read_text())
     assert curve["series"][0] == 0.0
     assert len(curve["series"]) == 4
+    assert "flagged zero" not in capsys.readouterr().out
+
+    # An aligned predictor leaves nothing to cover: the curve is flagged zero.
+    probe = experiments.run_probe
+    monkeypatch.setattr(experiments, "run_probe", lambda *args: (probe(*args)[0],) * 2)
+    assert run_cli(["coverage-curve", *FAST, "--iterations", "1", "--out", tmp_path / "zero"]) == 0
+    assert "(no mispredictions: flagged zero)" in capsys.readouterr().out
 
 
 def test_ablate_limit_single_column(tmp_path):
@@ -357,7 +366,9 @@ def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):
                         "--out", tmp_path / "pruned"])
 
     assert prune(run / "predicted.ndjson") == 0
-    assert capsys.readouterr().out.startswith(f"{mismatched} mispredictions, ")
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("coverage matrix: ")
+    assert header.endswith(f" x {mismatched} mispredictions")
     assert (tmp_path / "pruned" / "coverage.json").exists()
 
     short = tmp_path / "short.ndjson"
@@ -379,6 +390,38 @@ def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):
                                     *predicted_lines[2:]]) + "\n")
     assert prune(diverged) == 2
     assert "diverge at index 0" in capsys.readouterr().err
+
+
+def _prune_a_simulate_run(tmp_path):
+    """`prune` arguments over a one-iteration taskdep run's own files."""
+    run = tmp_path / "sim"
+    assert run_cli(["simulate", "--config", "taskdep", "--seed", "1", "--out", run]) == 0
+    it = run / "trial_00" / "iter_00"
+    return ["prune", "--rules", it / "rules.json", "--kg", it / "kg.json",
+            "--transitions", it / "trajectory.ndjson", "--predicted", it / "predicted.ndjson"]
+
+
+# Each command: its arguments but --out, and the files it prints, in order.
+COMMAND_PRINTS = {
+    "simulate": (lambda _: ["simulate", *FAST, "--trials", "2"], ["rows.json", "summary.json"]),
+    "ablate-limit": (lambda _: ["ablate-limit", *FAST, "--limits", "3"], ["ablation.json"]),
+    "coverage-curve": (lambda _: ["coverage-curve", *FAST, "--iterations", "2"],
+                       ["curve.json"]),
+    "prune": (_prune_a_simulate_run, ["coverage.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_PRINTS))
+def test_each_command_prints_the_inspect_rendering_of_its_files(tmp_path, capsys, command):
+    args, files = COMMAND_PRINTS[command]
+    argv = args(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", out]) == 0
+    printed = capsys.readouterr().out
+    for name in files:
+        assert run_cli(["inspect", out / name]) == 0
+    assert printed == capsys.readouterr().out
 
 
 def test_simulate_with_worker_pool_matches_sequential(tmp_path):

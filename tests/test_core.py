@@ -251,20 +251,30 @@ def _trajectories(bits):
     return Trajectory(tuple(reals)), Trajectory(tuple(preds))
 
 
+def _expected(real, pred, indices):
+    """The misprediction pairs at `indices`: the real transition itself and
+    the predicted outcome itself."""
+    return [(real.transitions[i], pred.transitions[i].outcome) for i in indices]
+
+
+def _same_pairs(got, expected):
+    return len(got) == len(expected) and all(
+        t is et and o is eo for (t, o), (et, eo) in zip(got, expected)
+    )
+
+
 def test_classify_identity_case():
     real, pred = _trajectories([(True, True)] * 4)
-    correct, incorrect = classify_transitions(real, pred)
-    assert correct.indices == (0, 1, 2, 3)
-    assert incorrect.indices == ()
+    assert classify_transitions(real, pred) == []
 
 
 def test_classify_forced_example():
     real, pred = _trajectories([(True, True), (False, True), (True, True)])
-    correct, incorrect = classify_transitions(real, pred)
-    assert correct.indices == (0, 2)
-    assert incorrect.indices == (1,)
-    assert incorrect.predictions[0].success is True
-    assert incorrect.transitions[0].outcome.success is False
+    mispredictions = classify_transitions(real, pred)
+    assert _same_pairs(mispredictions, _expected(real, pred, [1]))
+    transition, predicted = mispredictions[0]
+    assert predicted.success is True
+    assert transition.outcome.success is False
 
 
 def test_classify_scripted_35_percent_wrong():
@@ -273,21 +283,19 @@ def test_classify_scripted_35_percent_wrong():
     wrong = {2, 5, 7, 9, 11, 13, 17}
     bits = [(True, i not in wrong) for i in range(20)]
     real, pred = _trajectories(bits)
-    correct, incorrect = classify_transitions(real, pred)
+    mispredictions = classify_transitions(real, pred)
     # independent enumeration of the expectation
-    expected_incorrect = tuple(sorted(wrong))
-    assert incorrect.indices == expected_incorrect
-    assert len(incorrect) == 7
-    assert len(correct) + len(incorrect) == 20
+    assert _same_pairs(mispredictions, _expected(real, pred, sorted(wrong)))
+    assert len(mispredictions) == 7
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=30))
 def test_classification_is_a_partition(bits):
+    # Exactly the differing steps' pairs, in step order; the agreeing steps
+    # are the rest.
     real, pred = _trajectories(bits)
-    correct, incorrect = classify_transitions(real, pred)
-    assert len(correct) + len(incorrect) == len(real)
-    assert set(correct.indices) | set(incorrect.indices) == set(range(len(real)))
-    assert set(correct.indices) & set(incorrect.indices) == set()
+    differing = [i for i, (r, p) in enumerate(bits) if r != p]
+    assert _same_pairs(classify_transitions(real, pred), _expected(real, pred, differing))
 
 
 def test_classify_length_mismatch():

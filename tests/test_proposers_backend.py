@@ -87,9 +87,13 @@ def test_backend_planner_parses_action_call():
 
 
 def test_backend_planner_rejects_nonsense():
-    planner = ExternalBackendPlanner(FakeClient(["dance wildly"]), load_prompt("action_proposal"))
-    with pytest.raises(BackendUnavailable):
-        planner.propose(make_obs(), [], [], PlanningContext(KnowledgeGraph.empty(), SceneGraph()))
+    # A blank reply has no last line; "²" is a digit but not a decimal.
+    for reply in ("dance wildly", "  \n ", "mine(block_name=tree, amount=²)"):
+        planner = ExternalBackendPlanner(FakeClient([reply]), load_prompt("action_proposal"))
+        with pytest.raises(BackendUnavailable):
+            planner.propose(
+                make_obs(), [], [], PlanningContext(KnowledgeGraph.empty(), SceneGraph())
+            )
 
 
 def test_noisy_oracle_is_deterministic_per_seed():
