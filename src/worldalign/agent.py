@@ -683,7 +683,6 @@ class EpisodeComponents:
 class EpisodeResult:
     real: Trajectory
     predicted: Trajectory
-    rules_out: RuleSet
     metrics: dict
 
 
@@ -762,4 +761,4 @@ def run_episode(
         "task_complete": target in world.ledger.unlocks,
         "proposals": total_proposals,
     }
-    return EpisodeResult(real_traj, pred_traj, state.rules, metrics)
+    return EpisodeResult(real_traj, pred_traj, metrics)

@@ -8,10 +8,10 @@ subcommand can all render back.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,7 @@ from . import __version__
 # but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
 from .agent import run_episode, score
 from .artifacts import SchemaError, inspect_path, read_json, read_text, write_json, write_text
-from .core import DEFAULT_TOOL_TIERS, Outcome, Trajectory, Transition, classify_transitions
+from .core import DEFAULT_TOOL_TIERS, Trajectory, classify_transitions
 from .env.config import (
     ACHIEVEMENTS,
     CONFIG_IDS,
@@ -67,6 +67,8 @@ class ExperimentSpec:
             raise ValueError("iterations must be >= 1")
         if self.rule_limit < 1:
             raise ValueError("rule limit must be >= 1")
+        if self.replan_limit < 1:
+            raise ValueError("replan limit must be >= 1")
         if self.config_id not in CONFIG_IDS and not Path(self.config_id).exists():
             raise ValueError(
                 f"unknown config {self.config_id!r}; ids: {', '.join(CONFIG_IDS)}"
@@ -195,57 +197,35 @@ def cmd_inspect(path: str) -> int:
     return 0
 
 
-def _read_trajectory(path: str, real: Trajectory | None = None) -> Trajectory:
-    text = read_text(path)
+def _load(path: str, read, parse, what: str):
+    """`parse(read(path))`; a file that does not fit `parse` is a
+    SchemaError naming it."""
+    data = read(path)
     try:
-        return Trajectory.from_ndjson(text, real)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a trajectory file ({exc!r})") from exc
-
-
-def _joined_mispredictions(transitions_path: str) -> list[tuple[Transition, Outcome]]:
-    """Mispredictions from records that carry their own `predicted` outcome."""
-    mispredictions = []
-    for i, line in enumerate(read_text(transitions_path).splitlines()):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if "meta" in record:
-            continue
-        if "predicted" not in record:
-            raise SchemaError(transitions_path, f"line {i + 1}: missing field 'predicted'")
-        try:
-            transition = Transition.from_json(record)
-            predicted = Outcome.from_json(record["predicted"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(
-                transitions_path, f"line {i + 1}: not a transition record ({exc!r})"
-            ) from exc
-        if predicted.success != transition.outcome.success:
-            mispredictions.append((transition, predicted))
-    return mispredictions
+        return parse(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(path, f"not a {what} file ({exc!r})") from exc
 
 
 def cmd_prune(
     rules_path: str,
     transitions_path: str,
+    predicted_path: str,
     limit: int,
     out: str,
     kg_path: str | None,
-    predicted_path: str | None = None,
 ) -> int:
-    rules = RuleSet.from_json(read_json(rules_path))
+    rules = _load(rules_path, read_json, RuleSet.from_json, "rules")
     kg = KnowledgeGraph.empty()
     if kg_path:
-        kg = KnowledgeGraph.from_json(read_json(kg_path))
-    if predicted_path is None:
-        mispredictions = _joined_mispredictions(transitions_path)
-    else:
-        # A run's own pair of files: the real trajectory and the base
-        # predictor's, a delta against it; a length or action mismatch is a
-        # ValueError.
-        real = _read_trajectory(transitions_path)
-        mispredictions = classify_transitions(real, _read_trajectory(predicted_path, real))
+        kg = _load(kg_path, read_json, KnowledgeGraph.from_json, "knowledge-graph")
+    # A run's own pair of files: the real trajectory and the base predictor's,
+    # a delta against it.  The mispredictions are the learner's own.
+    real = _load(transitions_path, read_text, Trajectory.from_ndjson, "trajectory")
+    predicted = _load(
+        predicted_path, read_text, partial(Trajectory.from_ndjson, real=real), "trajectory"
+    )
+    mispredictions = classify_transitions(real, predicted)
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS
     )
@@ -318,11 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prune = sub.add_parser("prune", help="offline pruning of a rules file")
     p_prune.add_argument("--rules", required=True)
-    p_prune.add_argument("--transitions", required=True,
-                         help="ndjson of transitions with a 'predicted' outcome field, "
-                              "or a run's trajectory.ndjson when --predicted is given")
-    p_prune.add_argument("--predicted", default=None, metavar="PATH",
-                         help="the run's predicted.ndjson for the --transitions trajectory")
+    p_prune.add_argument("--transitions", required=True, metavar="PATH",
+                         help="a run's trajectory.ndjson")
+    p_prune.add_argument("--predicted", required=True, metavar="PATH",
+                         help="the same run's predicted.ndjson")
     p_prune.add_argument("--limit", type=int, default=LearnerConfig.limit)
     p_prune.add_argument("--kg", default=None)
     p_prune.add_argument("--out", default="runs/prune")
@@ -354,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_inspect(args.path)
         if args.command == "prune":
             return cmd_prune(
-                args.rules, args.transitions, args.limit, args.out, args.kg, args.predicted
+                args.rules, args.transitions, args.predicted, args.limit, args.out, args.kg
             )
     except (ValueError, UnsolvableConfig, SchemaError, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)

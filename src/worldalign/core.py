@@ -290,16 +290,6 @@ class Transition:
             "next_obs": self.next_obs.to_json(),
         }
 
-    @staticmethod
-    def from_json(data: dict, pool: VisibleObjectPool | None = None) -> "Transition":
-        pool = VisibleObjectPool() if pool is None else pool
-        return Transition(
-            Observation.from_json(data["obs"], pool),
-            Action.from_json(data["action"]),
-            Outcome.from_json(data["outcome"]),
-            Observation.from_json(data["next_obs"], pool),
-        )
-
     def canonical(self) -> str:
         """`dumps_canonical(self.to_json())`, composed from fragments in the
         canonical key order `action`, `next_obs`, `obs`, `outcome`."""

@@ -19,7 +19,7 @@ from .core import Action, Observation, Trajectory, Transition, classify_transiti
 from .env.config import TARGET_CHAIN_ACHIEVEMENT, WorldConfig
 from .env.world import DIR_DELTAS, WALKABLE, MarsWorld, apply_effect
 from .graphs import SceneGraph
-from .learner import LearnerConfig, LearnerState, cover_rate, ns_learning
+from .learner import WINDOW, LearnerConfig, LearnerState, cover_rate, ns_learning
 from .proposers import NoisyOracleProposer, OracleProposer, Proposer
 from .world_model import BasePredictor, NaivePrior
 
@@ -31,13 +31,10 @@ class ProbePolicy:
     """Survey script that deliberately mixes sound and doomed actions so a
     context-blind predictor accumulates mispredictions.  New failure kinds
     come online phase by phase, which is what makes learning curves rise
-    stepwise instead of jumping."""
-
-    def __init__(self, phase_len: int = 20):
-        self.phase_len = phase_len
+    stepwise instead of jumping.  A phase lasts one induction window."""
 
     def action(self, step: int, obs: Observation) -> Action:
-        phase = min(step // self.phase_len, 4)
+        phase = min(step // WINDOW, 4)
         slot = step % 4
         if phase == 0:
             return (self._explore(step), self._far_mine(obs),
@@ -100,11 +97,11 @@ class ProbePolicy:
 
 
 def run_probe(
-    config: WorldConfig, predictor: BasePredictor, steps: int, phase_len: int = 20
+    config: WorldConfig, predictor: BasePredictor, steps: int
 ) -> tuple[Trajectory, Trajectory]:
     """Roll the probe policy, recording real and predicted trajectories."""
     world = MarsWorld(config)
-    policy = ProbePolicy(phase_len)
+    policy = ProbePolicy()
     tables = config.base_tables()  # what an unaligned predictor believes
     obs = world.observe()
     real: list[Transition] = []
@@ -138,9 +135,7 @@ def coverage_curve(
 ) -> CurveResult:
     """Cover-rate trajectory over learning iterations against a frozen
     misprediction dataset built with the unaligned naive prior."""
-    learner_config = LearnerConfig()
-    window = learner_config.window
-    real, predicted = run_probe(config, NaivePrior(config), iterations * window, window)
+    real, predicted = run_probe(config, NaivePrior(config), iterations * WINDOW)
     frozen = classify_transitions(real, predicted)
 
     state = LearnerState()
@@ -148,13 +143,13 @@ def coverage_curve(
     tiers = config.tool_tiers
     series = [0.0]
     for i in range(iterations):
-        lo, hi = i * window, (i + 1) * window
+        lo, hi = i * WINDOW, (i + 1) * WINDOW
         pred_slice = Trajectory(predicted.transitions[lo:hi], config.seed, config.config_id)
         real_slice = Trajectory(real.transitions[lo:hi], config.seed, config.config_id)
         if not real_slice.transitions:
             series.append(series[-1])
             continue
-        ns_learning(pred_slice, real_slice, state, proposer, learner_config, tool_tiers=tiers)
+        ns_learning(pred_slice, real_slice, state, proposer, LearnerConfig(), tool_tiers=tiers)
         rate = cover_rate(state.rules, frozen, state.kg, state.sg, tool_tiers=tiers)
         series.append(rate.value if rate.defined else 0.0)
     return CurveResult(
@@ -394,8 +389,6 @@ def run_misalignment(
     base_config: WorldConfig,
     seeds: Sequence[int],
     iterations: int = 5,
-    *,
-    replan_limit: int = 3,
 ) -> MisalignmentOutcome:
     """End-to-end correction check on a modified world: the default-prior
     agent without learning vs. the same agent with the learning loop, same
@@ -405,13 +398,13 @@ def run_misalignment(
     for trial_seed in seeds:
         bare = run_learning_trial(
             base_config, trial_seed, iterations,
-            standard_components(rule_proposer_kind="none", replan_limit=replan_limit),
+            standard_components(rule_proposer_kind="none"),
         )
         if bare.any_task_complete():
             no_rules += 1
         learned = run_learning_trial(
             base_config, trial_seed, iterations,
-            standard_components(rule_proposer_kind="oracle", replan_limit=replan_limit),
+            standard_components(rule_proposer_kind="oracle"),
         )
         if learned.any_task_complete():
             with_rules += 1

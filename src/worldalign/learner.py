@@ -94,9 +94,11 @@ class RuleSet:
         return RuleSet(tuple(entries))
 
 
+WINDOW = 20  # transitions per induction chunk
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
-    window: int = 20  # transitions per induction chunk
     limit: int = 6  # rule budget after pruning
     prune: bool = True  # False = ablation arm: skip validity drop and pruning
 
@@ -466,9 +468,8 @@ def ns_learning(
     state.sg = sg
 
     entries = list(state.rules.entries)
-    step = config.window
-    for start in range(0, len(real.transitions), step):
-        chunk = real.transitions[start : start + step]
+    for start in range(0, len(real.transitions), WINDOW):
+        chunk = real.transitions[start : start + WINDOW]
         state.kg = kg_merge(state.kg, kg_induce(chunk, proposer).edges)
         entries += induce_rules(chunk, entries, proposer, state.iteration).new_entries
 

@@ -207,7 +207,7 @@ def test_coverage_curve_with_aligned_predictor_is_flagged_zeros(monkeypatch):
     from worldalign import experiments
 
     config = make_config("default", seed=3)
-    real, _ = experiments.run_probe(config, NaivePrior(config), 40, 20)
+    real, _ = experiments.run_probe(config, NaivePrior(config), 40)
     monkeypatch.setattr(experiments, "run_probe", lambda *a, **k: (real, real))
     curve = experiments.coverage_curve(config, OracleProposer(config), iterations=2)
     assert not curve.defined

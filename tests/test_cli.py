@@ -38,6 +38,8 @@ def test_simulate_missing_config_fails_before_running(tmp_path, capsys):
 def test_simulate_rejects_bad_counts(tmp_path):
     assert run_cli(["simulate", *FAST, "--trials", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--rule-limit", "0", "--out", tmp_path / "x"]) == 2
+    assert run_cli(["simulate", *FAST, "--replan-limit", "0", "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -234,9 +236,24 @@ def test_ablate_limit_zero_rejected(tmp_path):
     assert run_cli(["ablate-limit", *FAST, "--limits", "0", "--out", tmp_path / "x"]) == 2
 
 
-def test_prune_subcommand_offline(tmp_path, capsys):
-    from worldalign.core import Action, Outcome, Transition, dumps_canonical
+def _write_pair(tmp_path, actions):
+    """A chaining real trajectory in which every action fails, and its
+    predicted delta claiming every action succeeds: `--transitions` and
+    `--predicted` arguments over the two files."""
+    from worldalign.core import Outcome, Trajectory, Transition
     from conftest import make_obs
+
+    obs = make_obs()
+    real = Trajectory(tuple(Transition(obs, a, Outcome(False, "no"), obs) for a in actions))
+    predicted = Trajectory(tuple(Transition(obs, a, Outcome(True, "sure"), obs) for a in actions))
+    (tmp_path / "trajectory.ndjson").write_text(real.to_ndjson())
+    (tmp_path / "predicted.ndjson").write_text(predicted.to_ndjson(real))
+    return ["--transitions", tmp_path / "trajectory.ndjson",
+            "--predicted", tmp_path / "predicted.ndjson"]
+
+
+def test_prune_subcommand_offline(tmp_path, capsys):
+    from worldalign.core import Action
 
     rules = [
         {"id": "near_table", "source":
@@ -246,21 +263,10 @@ def test_prune_subcommand_offline(tmp_path, capsys):
     ]
     rules_path = tmp_path / "rules.json"
     rules_path.write_text(json.dumps(rules))
-
-    obs = make_obs()
-    lines = []
-    for _ in range(3):
-        record = Transition(
-            obs, Action("make", {"tool_name": "wood_pickaxe"}), Outcome(False, "no"), obs
-        ).to_json()
-        record["predicted"] = Outcome(True, "sure").to_json()
-        lines.append(dumps_canonical(record))
-    transitions_path = tmp_path / "mispredictions.ndjson"
-    transitions_path.write_text("\n".join(lines) + "\n")
+    pair = _write_pair(tmp_path, [Action("make", {"tool_name": "wood_pickaxe"})] * 3)
 
     out = tmp_path / "pruned"
-    code = run_cli(["prune", "--rules", rules_path, "--transitions", transitions_path,
-                    "--limit", "2", "--out", out])
+    code = run_cli(["prune", "--rules", rules_path, *pair, "--limit", "2", "--out", out])
     assert code == 0
     survivors = json.loads((out / "rules.json").read_text())
     assert [r["id"] for r in survivors] == ["near_table"]
@@ -269,8 +275,7 @@ def test_prune_subcommand_offline(tmp_path, capsys):
 
 
 def test_prune_keeps_rules_in_pick_order_with_their_gains(tmp_path, capsys):
-    from worldalign.core import Action, Outcome, Transition, dumps_canonical
-    from conftest import make_obs
+    from worldalign.core import Action
 
     # The file lists a_mine first, with a stale count; near_table covers more.
     rules = [
@@ -281,21 +286,12 @@ def test_prune_keeps_rules_in_pick_order_with_their_gains(tmp_path, capsys):
     ]
     rules_path = tmp_path / "rules.json"
     rules_path.write_text(json.dumps(rules))
-
-    obs = make_obs()
     actions = [Action("make", {"tool_name": "wood_pickaxe"})] * 3
     actions.append(Action("mine", {"block_name": "stone", "amount": 1}))
-    lines = []
-    for action in actions:
-        record = Transition(obs, action, Outcome(False, "no"), obs).to_json()
-        record["predicted"] = Outcome(True, "sure").to_json()
-        lines.append(dumps_canonical(record))
-    transitions_path = tmp_path / "mispredictions.ndjson"
-    transitions_path.write_text("\n".join(lines) + "\n")
+    pair = _write_pair(tmp_path, actions)
 
     out = tmp_path / "pruned"
-    code = run_cli(["prune", "--rules", rules_path, "--transitions", transitions_path,
-                    "--limit", "2", "--out", out])
+    code = run_cli(["prune", "--rules", rules_path, *pair, "--limit", "2", "--out", out])
     assert code == 0
     kept = json.loads((out / "rules.json").read_text())
     assert [(r["id"], r["covered_count"]) for r in kept] == [("near_table", 3), ("a_mine", 1)]
@@ -304,44 +300,61 @@ def test_prune_keeps_rules_in_pick_order_with_their_gains(tmp_path, capsys):
 
 
 def test_prune_rejects_records_without_prediction(tmp_path, capsys):
-    from worldalign.core import Action, Outcome, Transition, dumps_canonical
-    from conftest import make_obs
+    from worldalign.core import Action
 
-    rules_path = tmp_path / "rules.json"
-    rules_path.write_text(json.dumps([]))
-    obs = make_obs()
-    record = Transition(obs, Action("sleep", {}), Outcome(True), obs).to_json()
-    transitions_path = tmp_path / "t.ndjson"
-    transitions_path.write_text(dumps_canonical(record) + "\n")
-    code = run_cli(["prune", "--rules", rules_path, "--transitions", transitions_path,
-                    "--out", tmp_path / "out"])
-    assert code == 2
-    assert "predicted" in capsys.readouterr().err
+    (tmp_path / "rules.json").write_text("[]")
+    pair = _write_pair(tmp_path, [Action("sleep", {})])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["prune", "--rules", tmp_path / "rules.json", *pair[:2],
+                 "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "--predicted" in capsys.readouterr().err
 
 
 # (extra prune arguments, the file the error names), paths relative to tmp_path
+PAIR = ["--transitions", "trajectory.ndjson", "--predicted", "predicted.ndjson"]
 PRUNE_READ_ERRORS = {
-    "record_without_obs": (["--rules", "rules.json", "--transitions", "no_obs.ndjson"],
-                           "no_obs.ndjson"),
-    "missing_rules_file": (["--rules", "absent.json", "--transitions", "no_obs.ndjson"],
-                           "absent.json"),
+    "record_without_obs": (["--rules", "rules.json", "--transitions", "no_obs.ndjson",
+                            "--predicted", "predicted.ndjson"], "no_obs.ndjson"),
+    "missing_rules_file": (["--rules", "absent.json", *PAIR], "absent.json"),
     "missing_transitions_file": (["--rules", "rules.json", "--transitions", "absent.ndjson",
-                                  "--predicted", "no_obs.ndjson"], "absent.ndjson"),
+                                  "--predicted", "predicted.ndjson"], "absent.ndjson"),
+    "rule_without_source": (["--rules", "no_source.json", *PAIR], "no_source.json"),
+    "rules_not_a_list": (["--rules", "rules_object.json", *PAIR], "rules_object.json"),
+    "unparseable_rule": (["--rules", "bad_rule.json", *PAIR], "bad_rule.json"),
+    "kg_without_edges": (["--rules", "rules.json", "--kg", "no_edges.json", *PAIR],
+                         "no_edges.json"),
+    "kg_edge_without_label": (["--rules", "rules.json", "--kg", "no_label.json", *PAIR],
+                              "no_label.json"),
+    "kg_unknown_relation": (["--rules", "rules.json", "--kg", "owns.json", *PAIR],
+                            "owns.json"),
+    "kg_label_not_an_object": (["--rules", "rules.json", "--kg", "text_label.json", *PAIR],
+                               "text_label.json"),
 }
 
+MALFORMED_FILES = {
+    "no_source.json": '[{"id": "x"}]',
+    "rules_object.json": '{"a": 1}',
+    "bad_rule.json": '[{"id": "x", "source": "RULE ?"}]',
+    "no_edges.json": '{"nodes": []}',
+    "no_label.json": '{"edges": [{"u": "wood", "v": "table"}]}',
+    "owns.json": '{"edges": [{"u": "wood", "v": "table", "label": {"relation": "owns"}}]}',
+    "text_label.json": '{"edges": [{"u": "wood", "v": "table", "label": "x"}]}',
+}
 
 @pytest.mark.parametrize("case", sorted(PRUNE_READ_ERRORS))
 def test_prune_read_errors_exit_2_naming_the_file(tmp_path, capsys, case):
-    from worldalign.core import Action, Outcome, Transition, dumps_canonical
-    from conftest import make_obs
+    from worldalign.core import Action
 
     args, named = PRUNE_READ_ERRORS[case]
     (tmp_path / "rules.json").write_text("[]")
-    obs = make_obs()
-    record = Transition(obs, Action("sleep", {}), Outcome(False), obs).to_json()
-    record["predicted"] = Outcome(True).to_json()
-    del record["obs"]
-    (tmp_path / "no_obs.ndjson").write_text(dumps_canonical(record) + "\n")
+    _write_pair(tmp_path, [Action("sleep", {})])
+    head, step = (tmp_path / "trajectory.ndjson").read_text().splitlines()
+    record = json.loads(step)
+    del record["next_obs"]  # a step line's only observation
+    (tmp_path / "no_obs.ndjson").write_text(f"{head}\n{json.dumps(record)}\n")
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
     paths = [tmp_path / a if not a.startswith("--") else a for a in args]
     assert run_cli(["prune", *paths, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / named}: ")

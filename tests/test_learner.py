@@ -15,6 +15,7 @@ from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
 from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_update
 from worldalign.learner import (
+    WINDOW,
     CoverageMatrix,
     LearnerConfig,
     LearnerState,
@@ -306,7 +307,7 @@ def test_renamed_rule_is_not_accepted_again():
     proposer = TextProposer([text, text.replace("table", "furnace")])
     config = make_config("default", seed=3)
     real, predicted = _aligned_pair(config, steps=40)
-    assert len(real.transitions) > LearnerConfig().window  # two induction windows
+    assert len(real.transitions) > WINDOW  # two induction windows
     state = LearnerState()
     for _ in range(2):
         rules = ns_learning(predicted, real, state, proposer,
@@ -408,8 +409,7 @@ def test_ns_learning_no_prune_keeps_everything_parsed():
 
 def test_cover_rate_monotone_over_iterations():
     config = make_config("default", seed=4)
-    window = LearnerConfig().window
-    real, predicted = _aligned_pair(config, steps=5 * window)
+    real, predicted = _aligned_pair(config, steps=5 * WINDOW)
     state = LearnerState()
     state.sg = SceneGraph.initial(sorted(config.terrain_table))
     frozen = [
@@ -419,7 +419,7 @@ def test_cover_rate_monotone_over_iterations():
     ]
     previous = 0.0
     for i in range(5):
-        lo, hi = i * window, (i + 1) * window
+        lo, hi = i * WINDOW, (i + 1) * WINDOW
         ns_learning(
             Trajectory(predicted.transitions[lo:hi]),
             Trajectory(real.transitions[lo:hi]),
