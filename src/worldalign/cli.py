@@ -69,6 +69,10 @@ class ExperimentSpec:
             raise ValueError("rule limit must be >= 1")
         if self.replan_limit < 1:
             raise ValueError("replan limit must be >= 1")
+        if not 0 <= self.noise <= 1:
+            raise ValueError("noise must be in [0, 1]")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.config_id not in CONFIG_IDS and not Path(self.config_id).exists():
             raise ValueError(
                 f"unknown config {self.config_id!r}; ids: {', '.join(CONFIG_IDS)}"

@@ -105,22 +105,26 @@ class LearnerConfig:
 
 @dataclass
 class ValidityWatermark:
-    """What the last validity check already proved, so the next one scans
-    only new work.
+    """What the last validity check and coverage matrix already proved, so
+    the next ones compute only new work.
 
     `upto[ast]` is the number of leading history transitions the rule is
-    known to assert no wrong bit on.  The key is the whole AST, so a rule
-    id reused for another text misses.  Those verdicts hold only for the
-    graphs and tool tiers they were computed under and for the history they
-    were computed on; `refresh` forgets whatever the current inputs no
-    longer vouch for.
+    known to assert no wrong bit on.  `rows[ast]` is the rule's coverage
+    row over the leading mispredictions.  The key is the whole AST, so a
+    rule id reused for another text misses.  Both hold only for the graphs
+    and tool tiers they were computed under and for the history and
+    misprediction list they were computed on; `refresh` forgets whatever
+    the current inputs no longer vouch for.
     """
 
     upto: dict[RuleAst, int] = field(default_factory=dict)
+    rows: dict[RuleAst, tuple[bool, ...]] = field(default_factory=dict)
     graphs: tuple[KnowledgeGraph, SceneGraph] | None = None
     tool_tiers: tuple[str, ...] | None = None
     checked: int = 0  # history length at the last check
     last: Transition | None = None  # history[checked - 1] at the last check
+    seen: int = 0  # misprediction count at the last check
+    last_seen: tuple[Transition, Outcome] | None = None  # mispredictions[seen - 1]
 
     def refresh(
         self,
@@ -128,31 +132,45 @@ class ValidityWatermark:
         kg: KnowledgeGraph,
         sg: SceneGraph,
         tool_tiers: Sequence[str],
+        mispredictions: Sequence[tuple[Transition, Outcome]],
     ) -> dict[RuleAst, int]:
-        """Drop the entries the inputs invalidate and return the map.
+        """Drop the entries the inputs invalidate and return `upto`.
 
         Every entry goes when the tool tiers change or the history is not
         an extension of the one last checked (its last checked transition is
         no longer in place); only the graph-reading rules' entries go when
-        the graphs' content changed.  Graphs are compared by value; an
-        unchanged scene graph is the same instance, which compares at once.
+        the graphs' content changed.  Every row also goes when the
+        misprediction list is not an extension of the one last seen (its
+        last seen pair is no longer in place).  Graphs are compared by
+        value; an unchanged scene graph is the same instance, which compares
+        at once.
         """
         tool_tiers = tuple(tool_tiers)
-        n = self.checked
-        extended = len(history) >= n and (n == 0 or history[n - 1] is self.last)
-        if not extended or tool_tiers != self.tool_tiers:
+        if not _extends(history, self.checked, self.last) or tool_tiers != self.tool_tiers:
             self.upto.clear()
+            self.rows.clear()
         elif (kg, sg) != self.graphs:
-            for ast in [a for a in self.upto if uses_graphs(a)]:
-                del self.upto[ast]
+            for known in (self.upto, self.rows):
+                for ast in [a for a in known if uses_graphs(a)]:
+                    del known[ast]
+        if not _extends(mispredictions, self.seen, self.last_seen):
+            self.rows.clear()
         self.graphs = (kg, sg)
         self.tool_tiers = tool_tiers
         self.checked = len(history)
         self.last = history[-1] if history else None
+        self.seen = len(mispredictions)
+        self.last_seen = mispredictions[-1] if mispredictions else None
         return self.upto
 
     def keep_only(self, entries: Sequence["RuleEntry"]) -> None:
         self.upto = {e.ast: self.upto[e.ast] for e in entries if e.ast in self.upto}
+        self.rows = {e.ast: self.rows[e.ast] for e in entries if e.ast in self.rows}
+
+
+def _extends(items: Sequence, n: int, last) -> bool:
+    """Whether `items` still holds, at index n - 1, the item last seen there."""
+    return len(items) >= n and (n == 0 or items[n - 1] is last)
 
 
 @dataclass(frozen=True)
@@ -296,19 +314,26 @@ def build_matrix(
     sg: SceneGraph,
     *,
     tool_tiers: Sequence[str],
+    rows: dict[RuleAst, tuple[bool, ...]] | None = None,
 ) -> CoverageMatrix:
-    rows = []
+    """Each entry's coverage row over the mispredictions, in order.
+
+    `rows` maps a rule's AST to its row over the leading mispredictions;
+    only the cells past it are evaluated.  The map is updated in place with
+    every entry's full row.  An empty or absent map builds from scratch.
+    """
+    if rows is None:
+        rows = {}
     for entry in entries:
-        rows.append(
-            tuple(
-                coverage(entry.ast, t, predicted, kg, sg, tool_tiers=tool_tiers)
-                for t, predicted in mispredictions
-            )
+        row = rows.get(entry.ast, ())
+        rows[entry.ast] = row + tuple(
+            coverage(entry.ast, t, predicted, kg, sg, tool_tiers=tool_tiers)
+            for t, predicted in mispredictions[len(row):]
         )
     return CoverageMatrix(
         rule_ids=tuple(e.id for e in entries),
         transition_ids=tuple(t.digest() for t, _ in mispredictions),
-        a=tuple(rows),
+        a=tuple(rows[e.ast] for e in entries),
     )
 
 
@@ -448,10 +473,11 @@ def ns_learning(
     `state.coverage`.  Graph updates land in the state even if the proposer
     fails midway.
 
-    Validation is incremental: `state.validity` remembers how far each
-    surviving rule was already checked, so a call checks new rules against
-    the whole history and old rules against the new transitions only (all
-    of it again for graph-reading rules once the graphs changed).
+    Validation and coverage are incremental: `state.validity` remembers how
+    far each surviving rule was already checked and its coverage row, so a
+    call evaluates new rules on the whole history and every misprediction,
+    and old rules on the new transitions and mispredictions only (all of
+    them again for graph-reading rules once the graphs changed).
     """
     known = state.misprediction_keys()
     for pair in classify_transitions(real, pred):
@@ -477,13 +503,16 @@ def ns_learning(
     pool = RuleSet(tuple(entries))
 
     if config.prune:
-        watermark = state.validity.refresh(state.history, state.kg, state.sg, tool_tiers)
+        watermark = state.validity.refresh(
+            state.history, state.kg, state.sg, tool_tiers, state.mispredictions
+        )
         pool = drop_invalid(
             pool, state.history, state.kg, state.sg,
             tool_tiers=tool_tiers, watermark=watermark,
         )
         matrix = build_matrix(
-            pool.entries, state.mispredictions, state.kg, state.sg, tool_tiers=tool_tiers
+            pool.entries, state.mispredictions, state.kg, state.sg,
+            tool_tiers=tool_tiers, rows=state.validity.rows,
         )
         kept, state.last_trace, state.coverage = select_rules(
             pool.entries, matrix, config.limit

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 
+import hypothesis
 import pytest
 from hypothesis import strategies as st
 
@@ -57,6 +58,15 @@ def make_transition(
 @pytest.fixture
 def obs_factory():
     return make_obs
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_warm_up():
+    """Make one draw before any test runs.  The first draw of a session
+    scans the local modules for constants (cached in `.hypothesis/` only
+    afterwards), which can take seconds; paid inside a test, it fails that
+    test's health check for slow input generation in a fresh checkout."""
+    hypothesis.find(st.text(min_size=1), lambda s: True)
 
 
 # -- hypothesis strategies ------------------------------------------------------

@@ -39,6 +39,10 @@ def test_simulate_rejects_bad_counts(tmp_path):
     assert run_cli(["simulate", *FAST, "--trials", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--rule-limit", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--replan-limit", "0", "--out", tmp_path / "x"]) == 2
+    assert run_cli(["simulate", "--config", "default", "--proposer", "noisy", "--noise", "5",
+                    "--out", tmp_path / "x"]) == 2
+    assert run_cli(["simulate", *FAST, "--noise", "-0.1", "--out", tmp_path / "x"]) == 2
+    assert run_cli(["simulate", *FAST, "--workers", "0", "--out", tmp_path / "x"]) == 2
     assert not (tmp_path / "x").exists()
 
 

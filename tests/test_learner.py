@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
-from worldalign.core import Action, Outcome, Trajectory, Transition
+from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
 from worldalign.dsl import parse
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
@@ -525,6 +525,15 @@ DIFFERENTIAL_OBS = (
 # Under these tiers a sapling counts as a tool, so `near_tier` fires once
 # the agent has gathered one.
 ALT_TIERS = ("wood_pickaxe", "sapling")
+# Each equals `near` until a graph or tier change makes it dormant on some
+# mines: its coverage row changes while it stays valid.
+DORMANT_POOL = (
+    f'RULE near_no_cow FOR mine: FAIL IF {NEAR} AND NOT sg_contains("grass", "cow")',
+    f'RULE near_no_sand FOR mine: FAIL IF {NEAR} AND sg_unexplored("sand")',
+    f"RULE near_kg_met FOR mine: FAIL IF {NEAR} AND "
+    "kg_requires(action.args[block_name]) satisfied_by inventory",
+    f'RULE near_no_tier FOR mine: FAIL IF {NEAR} AND NOT has_tool_at_least("wood_pickaxe")',
+)
 
 
 class _ScriptedProposer:
@@ -583,7 +592,7 @@ def test_watermark_drop_invalid_matches_from_scratch(ops):
         else:  # cut the history back, then append in the same step
             kept = history[: len(history) * arg // 100]
             history = kept + list(real.transitions[arg : arg + 3])
-        watermark = validity.refresh(history, kg, sg, tiers)
+        watermark = validity.refresh(history, kg, sg, tiers, ())
         got = drop_invalid(pool, history, kg, sg, tool_tiers=tiers, watermark=watermark)
         assert got == drop_invalid(pool, history, kg, sg, tool_tiers=tiers)
         validity.keep_only(got.entries)
@@ -648,6 +657,74 @@ def test_incremental_drop_invalid_matches_from_scratch(offset, limit, steps):
             assert len(state.validity.upto) <= limit
             assert set(state.validity.upto) <= {e.ast for e in state.rules.entries}
     assert len(checks) == len(steps)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ("append", "rules", "kg", "sg", "tiers", "rewrite", "replace")
+            ),
+            st.integers(0, 2 ** 11 - 1),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+# A kept rule whose row a graph or tier change alters (the lowest mask bit
+# picks it over the rules with equal rows), and a replaced list.
+@example(limit=1, ops=[("append", 0), ("rules", 1), ("sg", 1)])
+@example(limit=1, ops=[("append", 0), ("rules", 4), ("kg", 1)])
+@example(limit=1, ops=[("append", 0), ("rules", 8), ("tiers", 0)])
+@example(limit=1, ops=[("append", 0), ("rules", 1), ("replace", 5)])
+def test_kept_coverage_rows_match_a_from_scratch_matrix(limit, ops):
+    """The rows kept on the watermark, with ns_learning's refresh, validity
+    check, matrix and selection in order: after each history and
+    misprediction append, change of pool, KG merge, SG update, tool-tier
+    switch, history rewrite or replaced misprediction list, the matrix
+    equals a from-scratch one and the map holds only the kept rules' rows."""
+    (real, predicted), locations = _differential_probe()
+    pairs = classify_transitions(real, predicted)
+    rules = [_entry(t) for t in DORMANT_POOL + DIFFERENTIAL_POOL if "twin" not in t]
+    twins = [_entry(t) for t in DIFFERENTIAL_POOL if "twin" in t]
+    kept: tuple[RuleEntry, ...] = ()
+    history, mispredictions = [], []
+    kg, sg, tiers = KnowledgeGraph.empty(), SceneGraph.initial(locations), TIERS
+    validity = ValidityWatermark()
+    for op, bits in ops:
+        arg, new_rules = bits % 100, []
+        if op == "append":  # three probe transitions and three mispredictions
+            history = history + list(real.transitions[arg : arg + 3])
+            mispredictions = mispredictions + pairs[arg % len(pairs) :][:3]
+        elif op == "rules":  # pool rules drawn anew; one of the same-id twins
+            new_rules = _mask(bits, rules) + [twins[bits % 2]]
+        elif op == "kg":
+            kg = kg_merge(kg, [KgEdge.from_json(DIFFERENTIAL_EDGES[arg % 3])])
+        elif op == "sg":
+            sg = sg_update(sg, DIFFERENTIAL_OBS[arg % 3])
+        elif op == "tiers":
+            tiers = ALT_TIERS if tiers == TIERS else TIERS
+        elif op == "rewrite":  # cut the history back, then append in the same step
+            history = history[: len(history) * arg // 100] + list(real.transitions[arg : arg + 3])
+        else:  # a list rebuilt elsewhere: other pairs, at least as many
+            start = arg % len(pairs)
+            rebuilt = (pairs[start:] + pairs[:start])[: len(mispredictions) + 1]
+            mispredictions = [(t, predicted) for t, predicted in rebuilt]
+        taken = {e.id for e in kept}
+        pool = RuleSet(kept + tuple(e for e in new_rules if e.id not in taken))
+        watermark = validity.refresh(history, kg, sg, tiers, mispredictions)
+        pool = drop_invalid(pool, history, kg, sg, tool_tiers=tiers, watermark=watermark)
+        matrix = learner.build_matrix(
+            pool.entries, mispredictions, kg, sg, tool_tiers=tiers, rows=validity.rows
+        )
+        assert matrix == learner.build_matrix(
+            pool.entries, mispredictions, kg, sg, tool_tiers=tiers
+        )
+        kept, _, _ = learner.select_rules(pool.entries, matrix, limit)
+        validity.keep_only(kept)
+        assert set(validity.rows) == {e.ast for e in kept}
 
 
 # -- one owner for the selection step ------------------------------------------
