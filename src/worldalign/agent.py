@@ -87,6 +87,7 @@ def mpc_plan(
     suggestions: list[str] = []
     steps: list[PlanStep] = []
     context = PlanningContext(kg, sg)
+    asts = rules.rules
     replan_count = 0
     action: Action
     result: MapExecuteResult
@@ -94,7 +95,7 @@ def mpc_plan(
         action = proposer.propose(obs, feedback, suggestions, context)
         base = wm.predict(obs, action)
         result = map_execute(
-            list(rules.rules), obs, action, base, kg, sg,
+            asts, obs, action, base, kg, sg,
             tables=tables, diagnostics=diagnostics,
         )
         replan_count += 1

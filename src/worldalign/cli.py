@@ -73,6 +73,8 @@ class ExperimentSpec:
             raise ValueError("noise must be in [0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.target is not None and self.target not in ACHIEVEMENTS:
+            raise ValueError(f"unknown target {self.target!r}; 'none' or an achievement")
         if self.config_id not in CONFIG_IDS and not Path(self.config_id).exists():
             raise ValueError(
                 f"unknown config {self.config_id!r}; ids: {', '.join(CONFIG_IDS)}"

@@ -239,7 +239,10 @@ def evaluate_all(
     tool_tiers: Sequence[str] = DEFAULT_TOOL_TIERS,
     diagnostics: EvalDiagnostics | None = None,
 ) -> JointVerdict:
-    ordered = sorted(rules, key=lambda r: r.id)
+    # Only guard-matched rules can activate; the rest would answer dormant.
+    ordered = sorted(
+        (r for r in rules if r.action_guard == action.name), key=lambda r: r.id
+    )
     activated: list[str] = []
     failing: list[str] = []
     feedback: list[str] = []

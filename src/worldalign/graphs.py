@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import Observation, Transition
@@ -20,6 +21,8 @@ SG_RELATIONS = ("located_in", "adjacent", "contains", "owns")
 
 UNEXPLORED = "Unexplored"
 EXPLORED = "Explored"
+
+_TYPE = attrgetter("type")
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,9 @@ class SceneGraph:
     vertices: frozenset[str] = frozenset()
     edges: tuple[tuple[str, str, str], ...] = ()  # (u, v, relation)
     status: tuple[tuple[str, str], ...] = ()  # (location, Explored|Unexplored)
+    # Memo of `_unchanged_kinds()`, read as an attribute like
+    # `VisibleObject._text`: the class default stands in until the first call.
+    _memo = None
 
     @staticmethod
     def initial(locations: Sequence[str]) -> "SceneGraph":
@@ -166,6 +172,35 @@ class SceneGraph:
             edges=(),
             status=tuple((loc, UNEXPLORED) for loc in locations),
         )
+
+    def _unchanged_kinds(self) -> dict[str, set[str]]:
+        """For each Explored location, the kinds an observation there may see
+        without changing the graph: the location itself and every kind
+        whose edge from it already exists with the relation it would get
+        now (``adjacent`` for a known location, ``contains`` otherwise).
+
+        A location counts as Explored only if every status entry it has
+        says so, and a location or kind counts only if it is a vertex.
+        Computed once per instance and stored beside the frozen fields
+        (outside equality, hashing, repr and pickled state).
+        """
+        memo = self._memo
+        if memo is None:
+            locations = {loc for loc, _ in self.status}
+            explored = locations - {loc for loc, st in self.status if st != EXPLORED}
+            memo = {loc: {loc} for loc in explored & self.vertices}
+            for u, v, relation in self.edges:
+                kinds = memo.get(u)
+                if (kinds is not None and v in self.vertices
+                        and relation == ("adjacent" if v in locations else "contains")):
+                    kinds.add(v)
+            object.__setattr__(self, "_memo", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
     def status_map(self) -> dict[str, str]:
         return dict(self.status)
@@ -196,9 +231,13 @@ def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
     stands on becomes Explored; every visible object type gains an edge from
     that location (``adjacent`` for known locations, ``contains`` otherwise),
     appended in first-appearance order.  An observation that adds nothing
-    returns `sg` itself, so callers that compare graphs hit on identity.
+    returns `sg` itself, so callers that compare graphs hit on identity;
+    that case is one subset test against the graph's memo.
     """
     here = obs.position
+    unchanged = sg._unchanged_kinds().get(here)
+    if unchanged is not None and unchanged.issuperset(map(_TYPE, obs.visible_objects)):
+        return sg
     known_locations = {loc for loc, _ in sg.status}
     seen = set(sg.edges)
     added = []
@@ -212,11 +251,8 @@ def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
             added.append(edge)
     kinds = {vis.type for vis in obs.visible_objects}
     kinds.add(here)
-    here_status = [st for loc, st in sg.status if loc == here]
-    if not added and kinds <= sg.vertices and set(here_status) == {EXPLORED}:
-        return sg
     status = tuple((loc, EXPLORED if loc == here else st) for loc, st in sg.status)
-    if not here_status:
+    if here not in known_locations:
         status += ((here, EXPLORED),)
     return SceneGraph(sg.vertices | kinds, sg.edges + tuple(added), status)
 

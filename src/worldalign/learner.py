@@ -298,9 +298,13 @@ def coverage(
     tool_tiers: Sequence[str],
 ) -> bool:
     """True iff the rule asserts a bit on the transition and that bit matches
-    the real outcome where the base prediction was wrong."""
+    the real outcome where the base prediction was wrong.  A transition
+    whose action does not match the rule's guard is answered without
+    evaluating the rule."""
     if base_prediction.success == transition.outcome.success:
         raise ValueError("coverage is defined over mispredicted transitions only")
+    if transition.action.name != rule.action_guard:
+        return False  # a guard mismatch never activates, so asserts no bit
     verdict = evaluate(
         rule, transition.obs, transition.action, kg, sg, tool_tiers=tool_tiers
     )
@@ -401,7 +405,9 @@ def drop_invalid(
 ) -> RuleSet:
     """Remove every rule that, on any transition where it asserts a success
     bit, asserts the wrong one.  Dormant transitions are excluded, so a rule
-    whose condition branch never fires in the data is untouched.
+    whose condition branch never fires in the data is untouched; a
+    transition whose action does not match the rule's guard is skipped
+    without evaluating it.
 
     `watermark` maps a rule's AST to the number of leading transitions it is
     already known to be valid on; only the rest are scanned.  The map is
@@ -413,7 +419,10 @@ def drop_invalid(
     keep = []
     for entry in rules.entries:
         valid = True
+        guard = entry.ast.action_guard
         for t in transitions[watermark.get(entry.ast, 0):]:
+            if t.action.name != guard:
+                continue  # dormant: a guard mismatch never activates
             verdict = evaluate(entry.ast, t.obs, t.action, kg, sg, tool_tiers=tool_tiers)
             asserted = asserted_bit(entry.ast, verdict)
             if asserted is not None and asserted != t.outcome.success:

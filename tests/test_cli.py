@@ -43,6 +43,8 @@ def test_simulate_rejects_bad_counts(tmp_path):
                     "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--noise", "-0.1", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--workers", "0", "--out", tmp_path / "x"]) == 2
+    assert run_cli(["simulate", *FAST, "--target", "bogus", "--iterations", "1",
+                    "--trials", "1", "--out", tmp_path / "x"]) == 2
     assert not (tmp_path / "x").exists()
 
 

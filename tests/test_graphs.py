@@ -1,7 +1,9 @@
+import copy
 import logging
+import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from worldalign.core import Action, Outcome, Transition
 from worldalign.env import make_config
@@ -255,6 +257,22 @@ scene_graphs = st.builds(
 
 @given(scene_graphs, st.lists(visible_objects, min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(observations_over(st.sampled_from(pool)), max_size=12)))
+# A kind first recorded as `contains` that later becomes a known location:
+# seen again from grass, it must gain its `adjacent` edge.
+@example(
+    sg=SceneGraph.initial(["grass"]),
+    observations=[
+        make_obs(visible=(("sand", 1, 0),)),
+        make_obs(visible=(("sand", 1, 0),)),
+        make_obs(position="sand", in_front="sand"),
+        make_obs(visible=(("sand", 1, 0),)),
+    ],
+)
+# A position that is not yet a location, then the same observation again.
+@example(
+    sg=SceneGraph.initial(["grass"]),
+    observations=[make_obs(position="sand", in_front="sand")] * 2,
+)
 def test_sg_update_matches_the_copying_fold_and_returns_an_unchanged_graph(sg, observations):
     for obs in observations:
         expected = _reference_sg_update(sg, obs)
@@ -263,6 +281,19 @@ def test_sg_update_matches_the_copying_fold_and_returns_an_unchanged_graph(sg, o
         assert list(updated.edges) == list(expected.edges)  # first-appearance order
         assert (updated is sg) == (expected == sg)
         sg = updated
+
+
+def test_scene_graph_memo_is_outside_equality_hashing_repr_and_pickling():
+    obs = make_obs(visible=(("table", 1, 0), ("sand", 2, 0)))
+    sg = sg_update(SceneGraph.initial(["grass", "sand"]), obs)
+    twin = SceneGraph(sg.vertices, sg.edges, sg.status)
+    pickled, shown, hashed = pickle.dumps(twin), repr(twin), hash(twin)
+    assert sg_update(sg, obs) is sg  # answered from, and so fills, sg's memo
+    assert sg._memo is not None and twin._memo is None
+    assert sg == twin
+    assert (pickle.dumps(sg), repr(sg), hash(sg)) == (pickled, shown, hashed)
+    assert pickle.loads(pickle.dumps(sg))._memo is None
+    assert copy.deepcopy(sg)._memo is None
 
 
 def test_full_sweep_explores_every_location():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
-from worldalign.dsl import parse
+from worldalign.dsl import EvalDiagnostics, evaluate, parse
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
@@ -725,6 +725,161 @@ def test_kept_coverage_rows_match_a_from_scratch_matrix(limit, ops):
         kept, _, _ = learner.select_rules(pool.entries, matrix, limit)
         validity.keep_only(kept)
         assert set(validity.rows) == {e.ast for e in kept}
+
+
+# -- guard-matched evaluation ---------------------------------------------------
+
+# Rules of every guard the probe's actions take, and one (make) it never
+# takes; a graph-reading rule, and atoms that cannot be resolved on the
+# actions they guard (an unknown location, a missing argument, an unknown
+# tool tier).
+GUARDED_POOL = (
+    f"RULE near FOR mine: FAIL IF {NEAR}",
+    f'RULE near_cow FOR mine: FAIL IF {NEAR} OR sg_contains("grass", "cow")',
+    'RULE volcano FOR mine: FAIL IF sg_contains("volcano", "cow")',
+    'RULE gold FOR mine: SUCCEED ONLY IF has_tool_at_least("gold_pickaxe")',
+    "RULE attack FOR attack: FAIL IF NOT (action.args[creature] in near_objects)",
+    'RULE attack_block FOR attack: FAIL IF action.args[block_name] == "tree"',
+    "RULE rested FOR sleep: SUCCEED ONLY IF obs.status.energy < 9",
+    'RULE explore FOR explore: FAIL IF obs.in_front == "water"',
+    'RULE table FOR make: FAIL IF NOT ("table" in near_objects)',
+)
+
+
+def _reference_drop_invalid(rules, transitions, kg, sg, *, tool_tiers, watermark, diagnostics):
+    """`drop_invalid` as it was before the guard skip: every rule is
+    evaluated on every transition past its watermark."""
+    keep = []
+    for entry in rules.entries:
+        valid = True
+        for t in transitions[watermark.get(entry.ast, 0):]:
+            verdict = evaluate(entry.ast, t.obs, t.action, kg, sg,
+                               tool_tiers=tool_tiers, diagnostics=diagnostics)
+            asserted = learner.asserted_bit(entry.ast, verdict)
+            if asserted is not None and asserted != t.outcome.success:
+                valid = False
+                break
+        if valid:
+            keep.append(entry)
+            watermark[entry.ast] = len(transitions)
+        else:
+            watermark.pop(entry.ast, None)
+    return RuleSet(tuple(keep))
+
+
+def _reference_coverage(rule, transition, predicted, kg, sg, *, tool_tiers, diagnostics):
+    if predicted.success == transition.outcome.success:
+        raise ValueError("coverage is defined over mispredicted transitions only")
+    verdict = evaluate(rule, transition.obs, transition.action, kg, sg,
+                       tool_tiers=tool_tiers, diagnostics=diagnostics)
+    return learner.asserted_bit(rule, verdict) == transition.outcome.success
+
+
+def _reference_matrix(entries, mispredictions, kg, sg, *, tool_tiers, rows, diagnostics):
+    for entry in entries:
+        row = rows.get(entry.ast, ())
+        rows[entry.ast] = row + tuple(
+            _reference_coverage(entry.ast, t, predicted, kg, sg,
+                                tool_tiers=tool_tiers, diagnostics=diagnostics)
+            for t, predicted in mispredictions[len(row):]
+        )
+    return CoverageMatrix(
+        tuple(e.id for e in entries),
+        tuple(t.digest() for t, _ in mispredictions),
+        tuple(rows[e.ast] for e in entries),
+    )
+
+
+def _reference_cover_rate(rules, mispredictions, kg, sg, *, tool_tiers, diagnostics):
+    if not mispredictions:
+        return learner.CoverRate(0.0, defined=False)
+    hits = sum(
+        1 for t, predicted in mispredictions
+        if any(_reference_coverage(e.ast, t, predicted, kg, sg,
+                                   tool_tiers=tool_tiers, diagnostics=diagnostics)
+               for e in rules.entries)
+    )
+    return learner.CoverRate(hits / len(mispredictions), defined=True)
+
+
+def _raised(call):
+    try:
+        return call()
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 2 ** len(GUARDED_POOL) - 1),
+    st.lists(st.tuples(st.integers(0, 99), st.booleans()), max_size=30),
+    st.integers(0, len(DIFFERENTIAL_OBS)),
+    st.sampled_from((TIERS, ALT_TIERS)),
+    st.integers(0, 30),
+    st.integers(0, 2 ** len(GUARDED_POOL) - 1),
+)
+def test_guard_matched_learning_matches_evaluating_every_pair(
+    rule_bits, picks, obs_index, tiers, prefix, known_bits
+):
+    """`drop_invalid` (fresh and from a watermark), `build_matrix` (fresh and
+    from kept rows), `coverage` and `cover_rate` equal references that
+    evaluate every (rule, transition) pair, with the same diagnostics, and
+    never evaluate a rule on an action its guard does not match."""
+    (real, _), locations = _differential_probe()
+    rules = RuleSet(tuple(_mask(rule_bits, [_entry(t) for t in GUARDED_POOL])))
+    known = [e.ast for e in _mask(known_bits, rules.entries)]
+    history = [real.transitions[i] for i, _ in picks]
+    predicted = [Outcome(t.outcome.success != wrong) for t, (_, wrong) in zip(history, picks)]
+    mispredictions = [(t, p) for t, p in zip(history, predicted) if p.success != t.outcome.success]
+    kg = kg_merge(KnowledgeGraph.empty(), kg_edges_for_config(make_config("default", seed=3)))
+    sg = SceneGraph.initial(locations)
+    if obs_index < len(DIFFERENTIAL_OBS):
+        sg = sg_update(sg, DIFFERENTIAL_OBS[obs_index])
+    fast, slow = EvalDiagnostics(), EvalDiagnostics()
+
+    def guard_matched(rule, obs, action, kg, sg, *, tool_tiers):
+        assert action.name == rule.action_guard
+        return evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers, diagnostics=fast)
+
+    with mock.patch.object(learner, "evaluate", guard_matched):
+        for start in (0, prefix):
+            watermark = {ast: min(start, len(history)) for ast in known}
+            expected_watermark = dict(watermark)
+            assert drop_invalid(
+                rules, history, kg, sg, tool_tiers=tiers, watermark=watermark
+            ) == _reference_drop_invalid(
+                rules, history, kg, sg, tool_tiers=tiers,
+                watermark=expected_watermark, diagnostics=slow,
+            )
+            assert watermark == expected_watermark
+        for rows_from in (None, prefix):
+            rows, expected_rows = {}, {}
+            if rows_from is not None:
+                lead = mispredictions[:rows_from]
+                _reference_matrix(_mask(known_bits, rules.entries), lead, kg, sg,
+                                  tool_tiers=tiers, rows=rows, diagnostics=None)
+                expected_rows = dict(rows)
+            assert learner.build_matrix(
+                rules.entries, mispredictions, kg, sg, tool_tiers=tiers, rows=rows
+            ) == _reference_matrix(
+                rules.entries, mispredictions, kg, sg, tool_tiers=tiers,
+                rows=expected_rows, diagnostics=slow,
+            )
+            assert rows == expected_rows
+        assert cover_rate(
+            rules, mispredictions, kg, sg, tool_tiers=tiers
+        ) == _reference_cover_rate(
+            rules, mispredictions, kg, sg, tool_tiers=tiers, diagnostics=slow
+        )
+        for t, p in zip(history, predicted):  # correct predictions raise too
+            for entry in rules.entries:
+                assert _raised(
+                    lambda: coverage(entry.ast, t, p, kg, sg, tool_tiers=tiers)
+                ) == _raised(
+                    lambda: _reference_coverage(entry.ast, t, p, kg, sg,
+                                                tool_tiers=tiers, diagnostics=slow)
+                )
+    assert fast == slow
 
 
 # -- one owner for the selection step ------------------------------------------
