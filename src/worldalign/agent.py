@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Protocol
 
 from .core import Action, Observation, Outcome, Trajectory, Transition, has_tool_at_least
@@ -119,35 +117,61 @@ _BONUS_GOALS = ("wood_sword", "stone_sword", "iron_sword", "sapling", "stone")
 
 @dataclass(frozen=True)
 class _ViewMap:
-    """One observation's view window, as the planner's movement reads it."""
+    """One observation's view window as bit masks, as the planner's movement
+    reads it.
 
-    seen: frozenset[tuple[int, int]]  # cells with anything visible
-    walkable: frozenset[tuple[int, int]]  # cells seen to hold open ground only
-    paths: frozenset[tuple[int, int]]  # walkable plus the agent's own cell
+    `reach` (rx, ry) is the largest |x| and |y| of a seen cell, (0, 0) when
+    nothing is seen.  Cell (x, y) is bit `(y + ry) * stride + x + rx`, with
+    `stride = 2 * rx + 2`: rows run north to south, and each row ends in a
+    spare column that no mask keeps, so that shifting a mask one bit east or
+    west moves a row's edge cell into the spare column, not onto the next
+    row.  A cell beyond the reach has no bit; no such cell is ever seen.
+    """
+
+    walkable: int  # cells seen to hold open ground only
+    paths: int  # walkable plus the agent's own cell
+    origin: int  # the agent's own cell
+    reach: tuple[int, int]
+    stride: int
 
     @staticmethod
     def of(obs: Observation) -> "_ViewMap":
-        open_, blocked = set(), set()
-        for vis in obs.visible_objects:
-            (open_ if vis.type in WALKABLE else blocked).add((vis.x, vis.y))
-        walkable = frozenset(open_ - blocked)
-        return _ViewMap(frozenset(open_ | blocked), walkable, walkable | {(0, 0)})
+        objects = obs.visible_objects
+        xs, ys = {v.x for v in objects} or {0}, {v.y for v in objects} or {0}
+        rx, ry = max(max(xs), -min(xs)), max(max(ys), -min(ys))
+        stride = 2 * rx + 2
+        centre = ry * stride + rx
+        open_ = blocked = 0
+        for vis in objects:
+            if vis.type in WALKABLE:
+                open_ |= 1 << vis.y * stride + vis.x + centre
+            else:
+                blocked |= 1 << vis.y * stride + vis.x + centre
+        walkable = open_ & ~blocked
+        return _ViewMap(walkable, walkable | 1 << centre, 1 << centre, (rx, ry), stride)
 
-    @cached_property
-    def reach(self) -> tuple[int, int]:
-        """Largest |x| and |y| of a seen cell; only sweeps need it."""
-        xs = [x for x, _ in self.seen]
-        ys = [y for _, y in self.seen]
-        return max(max(xs), -min(xs)), max(max(ys), -min(ys))
+    def mask(self, cells: set[tuple[int, int]]) -> int:
+        """The bits of `cells`, which must lie within the reach."""
+        rx, ry = self.reach
+        return sum(1 << (y + ry) * self.stride + x + rx for x, y in cells)
 
+    def is_walkable(self, x: int, y: int) -> bool:
+        rx, ry = self.reach
+        return abs(x) <= rx and abs(y) <= ry and self.walkable & self.mask({(x, y)}) != 0
 
-def _adjacent_cells(
-    points: set[tuple[int, int]], cells: frozenset[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """The members of `cells` in the 3x3 block around any of `points`."""
-    return {
-        (x + dx, y + dy) for x, y in points for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-    } & cells
+    def near(self, mask: int) -> int:
+        """The path cells in the 3x3 block around any cell of `mask`."""
+        row = mask | mask << 1 | mask >> 1
+        return (row | row << self.stride | row >> self.stride) & self.paths
+
+    def edge(self, direction: str) -> int:
+        """The walkable cells in the window's outermost column or row toward
+        `direction`."""
+        rx, ry = self.reach
+        row = (1 << 2 * rx + 1) - 1
+        column = sum(1 << y * self.stride for y in range(2 * ry + 1))
+        shift = {"north": 0, "south": 2 * ry * self.stride, "west": 0, "east": 2 * rx}[direction]
+        return (row if direction in ("north", "south") else column) << shift & self.walkable
 
 
 class ScriptedPlanner:
@@ -456,7 +480,7 @@ class ScriptedPlanner:
         if not targets or any(max(abs(x), abs(y)) <= 1 for x, y in targets):
             self._commit.pop(name, None)
             return None
-        paths = self._view_map(obs).paths
+        view = self._view_map(obs)
 
         committed: tuple[int, int] | None = None
         if name in self._commit:
@@ -470,11 +494,11 @@ class ScriptedPlanner:
 
         step = None
         if committed is not None:
-            step = self._bfs_step(paths, _adjacent_cells({committed}, paths))
+            step = self._bfs_step(view, view.near(view.mask({committed})))
             if step is None:
                 del self._commit[name]
         if step is None:
-            step = self._bfs_step(paths, _adjacent_cells(targets, paths))
+            step = self._bfs_step(view, view.near(view.mask(targets)))
             if step is None:
                 return None
             direction, steps, goal = step
@@ -488,43 +512,51 @@ class ScriptedPlanner:
         return Action("explore", {"direction": direction, "steps": steps})
 
     @staticmethod
-    def _bfs_step(
-        walkable: frozenset[tuple[int, int]], goals: set[tuple[int, int]]
-    ) -> tuple[str, int, tuple[int, int]] | None:
+    def _bfs_step(view: _ViewMap, goals: int) -> tuple[str, int, tuple[int, int]] | None:
         """First move (direction, straight-run length) of a shortest path
-        from the origin to any goal cell, or None."""
-        if not goals:
+        over `view.paths` from the origin to a cell of the `goals` mask, and
+        the goal cell it ends at; None when no goal is reachable or the
+        origin is one.
+
+        One frontier mask is grown per distance until it meets a goal.  A
+        backward pass then keeps, in each layer, the cells one move from a
+        kept cell of the next, and a forward walk takes at each step the
+        first move in DIR_DELTAS order (north, south, east, west) that stays
+        on the kept cells.  Of all shortest paths to the nearest goals, this
+        picks the one whose move sequence comes first in that order: the
+        path and goal that a first-in-first-out BFS expanding neighbours in
+        DIR_DELTAS order finds.
+        """
+        paths, stride, cur = view.paths, view.stride, view.origin
+        if not goals or goals & cur:
             return None
-        if (0, 0) in goals:
-            return None
-        prev: dict[tuple[int, int], tuple[int, int] | None] = {(0, 0): None}
-        queue = deque([(0, 0)])
-        found = None
-        while queue:
-            cur = queue.popleft()
-            if cur in goals:
-                found = cur
-                break
-            x, y = cur
-            for nxt in ((x, y - 1), (x, y + 1), (x + 1, y), (x - 1, y)):  # DIR_DELTAS order
-                if nxt in walkable and nxt not in prev:
-                    prev[nxt] = cur
-                    queue.append(nxt)
-        if found is None:
-            return None
-        path = [found]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        path.reverse()  # origin first
-        dx, dy = path[1][0] - path[0][0], path[1][1] - path[0][1]
-        steps = 1
-        while steps + 1 < len(path):
-            nx, ny = path[steps + 1][0] - path[steps][0], path[steps + 1][1] - path[steps][1]
-            if (nx, ny) != (dx, dy):
-                break
-            steps += 1
-        direction = {(1, 0): "east", (-1, 0): "west", (0, 1): "south", (0, -1): "north"}[(dx, dy)]
-        return direction, steps, found
+        layers = []
+        unseen, frontier = paths & ~cur, cur
+        while not frontier & goals:
+            frontier = (frontier >> stride | frontier << stride | frontier << 1 | frontier >> 1)
+            frontier &= unseen
+            if not frontier:
+                return None
+            unseen &= ~frontier
+            layers.append(frontier)
+        kept = layers[-1] = frontier & goals
+        for k in range(len(layers) - 2, -1, -1):
+            kept = (kept >> stride | kept << stride | kept << 1 | kept >> 1) & layers[k]
+            layers[k] = kept
+        moves = []
+        for layer in layers:  # DIR_DELTAS order
+            if cur >> stride & layer:
+                cur, move = cur >> stride, "north"
+            elif cur << stride & layer:
+                cur, move = cur << stride, "south"
+            elif cur << 1 & layer:
+                cur, move = cur << 1, "east"
+            else:
+                cur, move = cur >> 1, "west"
+            moves.append(move)
+        steps = next((i for i, move in enumerate(moves) if move != moves[0]), len(moves))
+        row, col = divmod(cur.bit_length() - 1, stride)
+        return moves[0], steps, (col - view.reach[0], row - view.reach[1])
 
     def _view_map(self, obs: Observation) -> _ViewMap:
         if self._view is None or self._view[0] is not obs:
@@ -534,7 +566,7 @@ class ScriptedPlanner:
     def _turn_to_open(self, obs: Observation, keep_near: str | None = None) -> Action:
         """Move one cell so the agent ends up facing an open cell, staying
         adjacent to `keep_near` (a crafting platform) when one is named."""
-        walkable = self._view_map(obs).walkable
+        view = self._view_map(obs)
         anchors = [
             (vis.x, vis.y)
             for vis in obs.visible_objects
@@ -548,10 +580,10 @@ class ScriptedPlanner:
 
         ranked: list[tuple[int, str]] = []
         for direction, (dx, dy) in DIR_DELTAS.items():
-            if (dx, dy) not in walkable:
+            if not view.is_walkable(dx, dy):
                 continue
             score = 0
-            if (2 * dx, 2 * dy) in walkable:
+            if view.is_walkable(2 * dx, 2 * dy):
                 score += 2
             if keeps_anchor(dx, dy):
                 score += 4
@@ -575,23 +607,11 @@ class ScriptedPlanner:
         if self._sweep_uses % 8 == 0:
             self._advance_sweep()
         view = self._view_map(obs)
-        walkable = view.walkable
-        if not walkable:
+        if not view.walkable:
             return Action("explore", {"direction": self._sweep_dirs[self._sweep_idx], "steps": 1})
-        max_x, max_y = view.reach
-
-        def edge_cells(direction: str) -> set[tuple[int, int]]:
-            if direction == "east":
-                return {(x, y) for x, y in walkable if x == max_x}
-            if direction == "west":
-                return {(x, y) for x, y in walkable if x == -max_x}
-            if direction == "south":
-                return {(x, y) for x, y in walkable if y == max_y}
-            return {(x, y) for x, y in walkable if y == -max_y}
-
         for turn in range(len(self._sweep_dirs)):
             direction = self._sweep_dirs[(self._sweep_idx + turn) % len(self._sweep_dirs)]
-            step = self._bfs_step(view.paths, edge_cells(direction))
+            step = self._bfs_step(view, view.edge(direction))
             if step is not None:
                 if turn:
                     self._sweep_idx = (self._sweep_idx + turn) % len(self._sweep_dirs)

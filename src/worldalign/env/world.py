@@ -8,6 +8,7 @@ come back as failed outcomes with a feedback string.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from dataclasses import dataclass, field, replace
 
 from ..core import (
@@ -32,6 +33,7 @@ from .config import (
 
 WALKABLE = frozenset(("grass", "sand"))  # open cells: walk, spawn and place here
 DIR_DELTAS = {"north": (0, -1), "south": (0, 1), "east": (1, 0), "west": (-1, 0)}
+_STEPS = tuple(DIR_DELTAS.values())  # a wandering creature's moves
 # The eight neighbours of a cell, in near-cell order: row by row, then column.
 NEAR_OFFSETS = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy)
 
@@ -88,9 +90,9 @@ class MarsWorld:
         size = self.config.grid_size
         names = sorted(self.tables.terrain)
         weights = [self.tables.terrain[n] for n in names]
-        self.grid = [
-            [rng.choices(names, weights)[0] for _ in range(size)] for _ in range(size)
-        ]
+        # One batched draw makes the same `random()` calls as a `choices` per cell.
+        cells = rng.choices(names, cum_weights=list(accumulate(weights)), k=size * size)
+        self.grid = [cells[y * size:(y + 1) * size] for y in range(size)]
         center = size // 2
         for y in range(center - 2, center + 3):
             for x in range(center - 2, center + 3):
@@ -384,7 +386,7 @@ class MarsWorld:
                 dy = _sign(self.agent_y - creature.y)
                 options = [(dx, 0), (0, dy)] if dx and dy else [(dx, dy)]
             else:
-                options = [self._creature_rng.choice(list(DIR_DELTAS.values()))]
+                options = [self._creature_rng.choice(_STEPS)]
             for dx, dy in options:
                 nx, ny = creature.x + dx, creature.y + dy
                 if (

@@ -11,7 +11,7 @@ default world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .core import Action, Observation, Outcome, has_tool_at_least
 from .dsl import EvalDiagnostics, RuleAst, evaluate_all, format_shortfall
@@ -62,28 +62,6 @@ class NaivePrior:
             return Outcome(True, f"{action.name} {product} should succeed")
         # attack, sleep, explore: optimistic pass-through
         return Outcome(True, f"{action.name} should succeed")
-
-
-class ScriptedPredictor:
-    """Table-driven predictor for tests: success keyed by action name, with
-    an optional override function for finer scripting."""
-
-    def __init__(
-        self,
-        by_action: dict[str, bool] | None = None,
-        default: bool = True,
-        override: Callable[[Observation, Action], bool | None] | None = None,
-    ):
-        self.by_action = dict(by_action or {})
-        self.default = default
-        self.override = override
-
-    def predict(self, obs: Observation, action: Action) -> Outcome:
-        if self.override is not None:
-            forced = self.override(obs, action)
-            if forced is not None:
-                return Outcome(forced, "scripted prediction")
-        return Outcome(self.by_action.get(action.name, self.default), "scripted prediction")
 
 
 class ExternalBackendPredictor:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from typing import Callable
 
 import hypothesis
 import pytest
@@ -53,6 +54,28 @@ def make_transition(
 ) -> Transition:
     obs = obs or make_obs()
     return Transition(obs, action, Outcome(success, feedback), next_obs or obs)
+
+
+class ScriptedPredictor:
+    """Table-driven predictor for tests: success keyed by action name, with
+    an optional override function for finer scripting."""
+
+    def __init__(
+        self,
+        by_action: dict[str, bool] | None = None,
+        default: bool = True,
+        override: Callable[[Observation, Action], bool | None] | None = None,
+    ):
+        self.by_action = dict(by_action or {})
+        self.default = default
+        self.override = override
+
+    def predict(self, obs: Observation, action: Action) -> Outcome:
+        if self.override is not None:
+            forced = self.override(obs, action)
+            if forced is not None:
+                return Outcome(forced, "scripted prediction")
+        return Outcome(self.by_action.get(action.name, self.default), "scripted prediction")
 
 
 @pytest.fixture

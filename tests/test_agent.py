@@ -1,13 +1,13 @@
 import math
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from worldalign.agent import (
     EpisodeComponents,
     PlanningContext,
     ScriptedPlanner,
-    _adjacent_cells,
     _ViewMap,
     mpc_plan,
     run_episode,
@@ -16,13 +16,13 @@ from worldalign.agent import (
 from worldalign.core import Action
 from worldalign.dsl import parse
 from worldalign.env import CONFIG_IDS, MarsWorld, make_config
-from worldalign.env.world import WALKABLE
+from worldalign.env.world import DIR_DELTAS, WALKABLE
 from worldalign.graphs import KnowledgeGraph, SceneGraph, KgEdge, kg_merge
 from worldalign.learner import LearnerConfig, LearnerState, RuleEntry, RuleSet
 from worldalign.proposers import OracleProposer
-from worldalign.world_model import BackendUnavailable, NaivePrior, ScriptedPredictor
+from worldalign.world_model import BackendUnavailable, NaivePrior
 
-from conftest import make_obs
+from conftest import ScriptedPredictor, make_obs
 
 
 class QueueProposer:
@@ -261,6 +261,80 @@ def test_memoised_view_map_proposes_like_a_fresh_one(config_id, seed, vetoes):
 _window_cells = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
 
 
+def _bfs_step_reference(
+    walkable: frozenset[tuple[int, int]], goals: set[tuple[int, int]]
+) -> tuple[str, int, tuple[int, int]] | None:
+    """The planner's first-in-first-out BFS over cell tuples, which the mask
+    search replaced: neighbours in DIR_DELTAS order, the first goal dequeued
+    wins."""
+    if not goals:
+        return None
+    if (0, 0) in goals:
+        return None
+    prev: dict[tuple[int, int], tuple[int, int] | None] = {(0, 0): None}
+    queue = deque([(0, 0)])
+    found = None
+    while queue:
+        cur = queue.popleft()
+        if cur in goals:
+            found = cur
+            break
+        x, y = cur
+        for nxt in ((x, y - 1), (x, y + 1), (x + 1, y), (x - 1, y)):  # DIR_DELTAS order
+            if nxt in walkable and nxt not in prev:
+                prev[nxt] = cur
+                queue.append(nxt)
+    if found is None:
+        return None
+    path = [found]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    path.reverse()  # origin first
+    dx, dy = path[1][0] - path[0][0], path[1][1] - path[0][1]
+    steps = 1
+    while steps + 1 < len(path):
+        nx, ny = path[steps + 1][0] - path[steps][0], path[steps + 1][1] - path[steps][1]
+        if (nx, ny) != (dx, dy):
+            break
+        steps += 1
+    direction = {(1, 0): "east", (-1, 0): "west", (0, 1): "south", (0, -1): "north"}[(dx, dy)]
+    return direction, steps, found
+
+
+def _adjacent_cells_reference(
+    points: set[tuple[int, int]], cells: set[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """The members of `cells` in the 3x3 block around any of `points`."""
+    return {
+        (x + dx, y + dy) for x, y in points for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+    } & cells
+
+
+def _decode(view: _ViewMap, mask: int) -> set[tuple[int, int]]:
+    """The cells of a mask, read back through the documented bit layout."""
+    rx, ry = view.reach
+    return {
+        (bit % view.stride - rx, bit // view.stride - ry)
+        for bit in range(mask.bit_length())
+        if mask >> bit & 1
+    }
+
+
+def _cell_type_scan(obs) -> tuple[dict[tuple[int, int], set[str]], set[tuple[int, int]]]:
+    """Every seen cell with its types, and the cells that hold only open ground."""
+    cells: dict[tuple[int, int], set[str]] = {}
+    for vis in obs.visible_objects:
+        cells.setdefault((vis.x, vis.y), set()).add(vis.type)
+    return cells, {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
+
+
+def _within(view: _ViewMap, cells: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The cells that have a bit.  Cells beyond the reach are never seen, so
+    never walkable, and the planner's targets are always seen cells."""
+    rx, ry = view.reach
+    return {(x, y) for x, y in cells if abs(x) <= rx and abs(y) <= ry}
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     visible=st.lists(
@@ -272,18 +346,96 @@ _window_cells = st.tuples(st.integers(-4, 4), st.integers(-3, 3))
 )
 def test_view_map_matches_cell_type_scan(visible, targets):
     obs = make_obs(visible=tuple((kind, x, y) for kind, (x, y) in visible))
-    cells: dict[tuple[int, int], set[str]] = {}
-    for vis in obs.visible_objects:
-        cells.setdefault((vis.x, vis.y), set()).add(vis.type)
-    walkable = {pos for pos, kinds in cells.items() if kinds <= WALKABLE}
+    cells, walkable = _cell_type_scan(obs)
     view = _ViewMap.of(obs)
-    assert view.walkable == walkable
-    assert view.paths == walkable | {(0, 0)}
+    assert _decode(view, view.walkable) == walkable
+    assert _decode(view, view.paths) == walkable | {(0, 0)}
     assert view.reach == (max(abs(x) for x, _ in cells), max(abs(y) for _, y in cells))
     paths = walkable | {(0, 0)}
+    targets = _within(view, targets)
     scan = {
         pos
         for pos in paths
         if any(max(abs(pos[0] - tx), abs(pos[1] - ty)) <= 1 for tx, ty in targets)
     }
-    assert _adjacent_cells(targets, view.paths) == scan
+    assert _decode(view, view.near(view.mask(targets))) == scan
+
+
+@st.composite
+def _clipped_windows(draw):
+    """A view window clipped to a box around the origin (as at a grid edge or
+    corner), its cells open, blocked or unseen, some with a creature on top;
+    and goal cells: seen cells, any cells of the full window, and maybe the
+    origin."""
+    xs = range(draw(st.integers(-4, 0)), draw(st.integers(0, 4)) + 1)
+    ys = range(draw(st.integers(-3, 0)), draw(st.integers(0, 3)) + 1)
+    terrain = st.sampled_from(["grass", "grass", "grass", "sand", "tree", "water", None])
+    creature = st.sampled_from([None, None, None, None, None, "cow", "zombie"])
+    visible = []
+    for y in ys:
+        for x in xs:
+            kind = draw(terrain) if (x, y) != (0, 0) else None
+            if kind is not None:
+                visible.append((kind, x, y))
+                if (other := draw(creature)) is not None:
+                    visible.append((other, x, y))
+    seen = sorted({(x, y) for _, x, y in visible})
+    goals = set(draw(st.lists(st.sampled_from(seen), max_size=4))) if seen else set()
+    goals |= draw(st.sets(_window_cells, max_size=2))
+    if draw(st.integers(0, 3)) == 0:
+        goals.add((0, 0))
+    return tuple(visible), goals
+
+
+@settings(deadline=None, max_examples=300)
+@given(window=_clipped_windows())
+@example(window=((), set()))  # nothing seen
+@example(window=((), {(1, 0), (0, -1)}))
+@example(window=((("grass", 1, 0), ("grass", 2, 0)), {(2, 0)}))
+@example(window=((("grass", 1, 0), ("tree", 2, 0), ("grass", 3, 0)), {(3, 0)}))  # unreachable
+@example(window=((("grass", 1, 0), ("grass", 0, 1)), {(0, 0), (1, 0)}))  # origin is a goal
+@example(  # clipped at a corner: nothing north or west of the agent
+    window=(
+        tuple(("grass", x, y) for y in range(4) for x in range(5) if (x, y) != (0, 0)),
+        {(4, 3), (3, 3), (4, 2)},
+    )
+)
+@example(  # a ring: two shortest paths, the northern one comes first
+    window=(
+        tuple(
+            ("water" if (x, y) == (1, 0) else "grass", x, y)
+            for y in (-1, 0, 1) for x in (0, 1, 2) if (x, y) != (0, 0)
+        ),
+        {(2, 0)},
+    )
+)
+def test_mask_bfs_matches_tuple_bfs(window):
+    visible, goals = window
+    obs = make_obs(visible=visible)
+    view = _ViewMap.of(obs)
+    _, walkable = _cell_type_scan(obs)
+    paths = walkable | {(0, 0)}
+    inside = _within(view, goals)
+    expected = _bfs_step_reference(frozenset(paths), goals)
+    assert ScriptedPlanner._bfs_step(view, view.mask(inside)) == expected
+    assert _decode(view, view.near(view.mask(inside))) == _adjacent_cells_reference(inside, paths)
+    for dx, dy in DIR_DELTAS.values():
+        assert view.is_walkable(dx, dy) == ((dx, dy) in walkable)
+        assert view.is_walkable(2 * dx, 2 * dy) == ((2 * dx, 2 * dy) in walkable)
+    if not walkable:
+        planner = ScriptedPlanner(make_config("default"))
+        assert planner._sweep(obs) == Action("explore", {"direction": "east", "steps": 1})
+        return
+    max_x = max(abs(x) for _, x, _ in visible)
+    max_y = max(abs(y) for _, _, y in visible)
+    edges = {
+        "east": {(x, y) for x, y in walkable if x == max_x},
+        "west": {(x, y) for x, y in walkable if x == -max_x},
+        "south": {(x, y) for x, y in walkable if y == max_y},
+        "north": {(x, y) for x, y in walkable if y == -max_y},
+    }
+    for direction, cells in edges.items():
+        assert _decode(view, view.edge(direction)) == cells
+        assert ScriptedPlanner._bfs_step(view, view.edge(direction)) == _bfs_step_reference(
+            frozenset(paths), cells
+        )

@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from worldalign.env import (
     replay,
     rules_for_config,
 )
-from worldalign.env.world import CREATURE_SPAWNS
+from worldalign.env.world import CREATURE_SPAWNS, FORCED_BLOCKS
 from worldalign.experiments import run_learning_trial, standard_components
 
 GOLDEN = Path(__file__).parent / "data" / "reset_seed7.json"
@@ -44,6 +46,38 @@ def test_reset_seed7_matches_golden_file():
     assert obs.status.health == 9
     golden = json.loads(GOLDEN.read_text())
     assert obs.to_json() == golden
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_reset_terrain_matches_per_cell_draws(config_id):
+    """`reset` draws the whole terrain in one batch; a `choices` call per
+    cell, row by row, gives the same grid and leaves the generator in the
+    same state."""
+    for seed in (0, 1, 7, 23):
+        world = MarsWorld(make_config(config_id, seed=seed))
+        size, terrain = world.config.grid_size, world.tables.terrain
+        names = sorted(terrain)
+        weights = [terrain[n] for n in names]
+        rng = random.Random(f"{seed}:worldgen")
+        grid = [[rng.choices(names, weights)[0] for _ in range(size)] for _ in range(size)]
+        batched = random.Random(f"{seed}:worldgen")
+        cells = batched.choices(names, cum_weights=list(accumulate(weights)), k=size * size)
+        assert cells == [name for row in grid for name in row]
+        assert batched.getstate() == rng.getstate()
+        center = size // 2
+        for y in range(center - 2, center + 3):
+            grid[y][center - 2:center + 3] = ["grass"] * 5
+        ring = [
+            (x, y) for y in range(size) for x in range(size)
+            if 3 <= max(abs(x - center), abs(y - center)) <= 7
+        ]
+        rng.shuffle(ring)
+        slots = iter(ring)
+        for block, count in FORCED_BLOCKS:
+            for _ in range(count):
+                x, y = next(slots)
+                grid[y][x] = block
+        assert world.grid == grid
 
 
 def test_unsolvable_config_rejected():

@@ -11,11 +11,10 @@ from worldalign.world_model import (
     BackendUnavailable,
     ExternalBackendPredictor,
     NaivePrior,
-    ScriptedPredictor,
     map_execute,
 )
 
-from conftest import make_obs
+from conftest import ScriptedPredictor, make_obs
 
 
 def test_naive_prior_matches_default_world_on_table_check():
