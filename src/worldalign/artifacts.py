@@ -1,28 +1,53 @@
-"""Artifact persistence and human-readable inspection.
+"""Artifact persistence, typed readers and human-readable inspection.
 
 Every file the harness writes is deterministic (sorted keys, no timestamps)
-and re-readable by the inspector; schema mismatches name the offending file
-and field instead of tracebacking.
+and is written to a temporary file in the same directory and moved into
+place, so a process that dies mid-write leaves no part of a file (an
+operating-system crash may: nothing is fsynced).  Each kind of file has one
+parser, which is also its schema: the typed readers (`RuleSet`,
+`KnowledgeGraph`, `SceneGraph`, `Trajectory`) and, for the kinds without a
+type, the renderers below.  Both raise ValueError naming the place and the
+field; the readers here and `inspect_path` turn it into a SchemaError
+naming the file, never a traceback.  `inspect_path` parses a trajectory's
+head and step lines but not its observations; `read_trajectory` parses
+them too.
 """
 from __future__ import annotations
 
 import json
+import os
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from .core import FORMAT
+from .core import Trajectory, parse_ndjson, require
+from .graphs import KnowledgeGraph, SceneGraph
+from .learner import RuleSet
 
 
 class SchemaError(ValueError):
     def __init__(self, path: str, detail: str):
         self.path = path
-        self.detail = detail
         super().__init__(f"{path}: {detail}")
 
 
-def write_json(path: str | Path, obj) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into
+    place, so a process that dies mid-write never leaves part of a file at
+    `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def read_text(path: str | Path) -> str:
@@ -39,10 +64,26 @@ def read_json(path: str | Path):
         raise SchemaError(str(path), f"not valid JSON ({exc})") from exc
 
 
-def write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def parse_as(path: str | Path, parse: Callable, value):
+    """`parse(value)`, with its ValueError turned into a SchemaError naming
+    the file `value` was read from."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise SchemaError(str(path), str(exc)) from exc
+
+
+def read_rules(path: str | Path) -> RuleSet:
+    return parse_as(path, RuleSet.from_json, read_json(path))
+
+
+def read_kg(path: str | Path) -> KnowledgeGraph:
+    return parse_as(path, KnowledgeGraph.from_json, read_json(path))
+
+
+def read_trajectory(path: str | Path, real: Trajectory | None = None) -> Trajectory:
+    """A trajectory file; a predicted one is read with its `real` one."""
+    return parse_as(path, partial(Trajectory.from_ndjson, real=real), read_text(path))
 
 
 # -- inspection --------------------------------------------------------------
@@ -50,128 +91,90 @@ def write_text(path: str | Path, text: str) -> None:
 NUMBER = (int, float)
 
 
-def _require(data, field: str, path: str, where: str = "", types: type | tuple = object):
-    """`data[field]`, or a SchemaError naming the file, the place (`where`,
-    e.g. "line 3: outcome") and the field when `data` is not an object, the
-    field is missing or its value is not of `types`."""
-    prefix = f"{where}: " if where else ""
-    if not isinstance(data, dict):
-        raise SchemaError(path, f"{where or 'document'} is not a JSON object")
-    if field not in data:
-        raise SchemaError(path, f"{prefix}missing field {field!r}")
-    value = data[field]
-    if not isinstance(value, types):
-        raise SchemaError(
-            path, f"{prefix}field {field!r} has the wrong type ({type(value).__name__})"
-        )
-    return value
-
-
-def render_rows(data: list, path: str) -> str:
+def render_rows(data: list) -> str:
     header = f"{'trial':>5} {'iter':>4} {'reward':>8} {'score':>8} {'cover':>7} {'steps':>6} done"
     lines = [header]
     for i, row in enumerate(data):
-        if not isinstance(row, dict) or "reward" not in row:
-            raise SchemaError(path, f"row {i}: missing field 'reward'")
+        where = f"row {i}"
+        reward = require(row, "reward", where, NUMBER)
+        trial, iteration, steps = (
+            require(row, key, where, int, default=0) for key in ("trial", "iteration", "steps")
+        )
+        score, cover = (
+            require(row, key, where, NUMBER, default=0.0) for key in ("score", "cover_rate")
+        )
         lines.append(
-            f"{row.get('trial', 0):>5} {row.get('iteration', 0):>4} "
-            f"{row['reward']:>8.2f} {row.get('score', 0.0):>8.2f} "
-            f"{row.get('cover_rate', 0.0):>7.3f} {row.get('steps', 0):>6} "
+            f"{trial:>5} {iteration:>4} {reward:>8.2f} {score:>8.2f} {cover:>7.3f} {steps:>6} "
             f"{'yes' if row.get('task_complete') else 'no'}"
         )
     return "\n".join(lines)
 
 
-def render_rules(data, path: str) -> str:
-    if not isinstance(data, list):
-        raise SchemaError(path, "rules file must be a JSON array")
-    blocks = []
-    for i, item in enumerate(data):
-        if not isinstance(item, dict):
-            raise SchemaError(path, f"entry {i} is not an object")
-        rid = _require(item, "id", path)
-        source = _require(item, "source", path)
-        lines = [f"rule {rid}"]
-        lines.append(f"  {source}")
-        if "iteration_learned" in item:
-            lines.append(
-                f"  learned at iteration {item['iteration_learned']}, "
-                f"covered {item.get('covered_count', 0)} mispredictions"
-            )
-        blocks.append("\n".join(lines))
+def render_rules(rules: RuleSet) -> str:
+    blocks = [
+        f"rule {e.id}\n  {e.source}\n"
+        f"  learned at iteration {e.iteration}, covered {e.covered} mispredictions"
+        for e in rules.entries
+    ]
     return "\n\n".join(blocks) if blocks else "(no rules)"
 
 
-def render_coverage(data: dict, path: str) -> str:
-    rules = _require(data, "rules", path, types=list)
-    transitions = _require(data, "transitions", path, types=list)
-    matrix = _require(data, "matrix", path, types=list)
+def render_coverage(data: dict) -> str:
+    rules = require(data, "rules", types=list)
+    transitions = require(data, "transitions", types=list)
+    matrix = require(data, "matrix", types=list)
     lines = [f"coverage matrix: {len(rules)} rules x {len(transitions)} mispredictions"]
     for i, (rid, row) in enumerate(zip(rules, matrix)):
         if not isinstance(row, list) or not all(isinstance(cell, NUMBER) for cell in row):
-            raise SchemaError(path, f"matrix row {i} is not an array of numbers")
+            raise ValueError(f"matrix row {i} is not an array of numbers")
         lines.append(f"  {rid!s:<28} covers {sum(row)}")
-    selection = data.get("selection", [])
-    if not isinstance(selection, list):
-        raise SchemaError(path, "field 'selection' is not a JSON array")
+    selection = require(data, "selection", types=list, default=[])
     if selection:
         lines.append("greedy selection trace:")
         for i, step in enumerate(selection):
             where = f"selection step {i}"
-            rule_id = _require(step, "rule_id", path, where, str)
-            gain = _require(step, "gain", path, where, int)
+            rule_id = require(step, "rule_id", where, str)
+            gain = require(step, "gain", where, int)
             lines.append(f"  pick {rule_id:<28} gain {gain}")
         covered = sum(step["gain"] for step in selection)
         lines.append(f"selected {len(selection)} rules covering {covered}/{len(transitions)}")
     return "\n".join(lines)
 
 
-def render_metrics(data: dict, path: str) -> str:
-    _require(data, "reward", path)
+def render_metrics(data: dict) -> str:
+    require(data, "reward", types=NUMBER)
     lines = ["episode metrics:"]
     for key in ("reward", "score", "cover_rate", "steps", "died", "task_complete"):
         if key in data:
             lines.append(f"  {key:<14} {data[key]}")
-    achievements = data.get("achievements", {})
-    if not isinstance(achievements, dict):
-        raise SchemaError(path, "field 'achievements' is not a JSON object")
+    achievements = require(data, "achievements", types=dict, default={})
+    for name in achievements:
+        require(achievements, name, "achievements", int)
     lines.append(f"  achievements   {len(achievements)}")
     for name, step in sorted(achievements.items(), key=lambda kv: kv[1]):
         lines.append(f"    {name:<22} step {step}")
     return "\n".join(lines)
 
 
-def render_kg(data: dict, path: str) -> str:
-    edges = _require(data, "edges", path, types=list)
-    lines = [f"knowledge graph: {len(edges)} edges"]
-    for i, edge in enumerate(edges):
-        where = f"edge {i}"
-        u = _require(edge, "u", path, where)
-        v = _require(edge, "v", path, where)
-        label = _require(edge, "label", path, where, dict)
-        relation = _require(label, "relation", path, f"{where}: label")
-        quantity = label.get("quantity")
-        suffix = f" x{quantity}" if quantity is not None else ""
-        lines.append(f"  {u} -[{relation}{suffix}]-> {v}")
+def render_kg(kg: KnowledgeGraph) -> str:
+    lines = [f"knowledge graph: {len(kg.edges)} edges"]
+    for e in kg.edges:
+        suffix = f" x{e.quantity}" if e.quantity is not None else ""
+        lines.append(f"  {e.u} -[{e.relation}{suffix}]-> {e.v}")
     return "\n".join(lines)
 
 
-def render_sg(data: dict, path: str) -> str:
-    status = _require(data, "status", path, types=dict)
-    edges = _require(data, "edges", path, types=list)
-    lines = [f"scene graph: {len(status)} locations, {len(edges)} edges"]
-    for loc, st in status.items():
+def render_sg(sg: SceneGraph) -> str:
+    lines = [f"scene graph: {len(sg.status)} locations, {len(sg.edges)} edges"]
+    for loc, st in sg.status:
         lines.append(f"  {loc:<14} {st}")
-    for i, edge in enumerate(edges):
-        if not isinstance(edge, list) or len(edge) != 3:
-            raise SchemaError(path, f"edge {i} is not a [u, v, relation] array")
-        u, v, rel = edge
+    for u, v, rel in sg.edges:
         lines.append(f"  {u} -[{rel}]-> {v}")
     return "\n".join(lines)
 
 
-def render_manifest(data: dict, path: str) -> str:
-    spec = _require(data, "spec", path, types=dict)
+def render_manifest(data: dict) -> str:
+    spec = require(data, "spec", types=dict)
     lines = ["experiment manifest:"]
     lines.append(f"  version  {data.get('version', '?')}")
     for key, value in sorted(spec.items()):
@@ -179,22 +182,22 @@ def render_manifest(data: dict, path: str) -> str:
     return "\n".join(lines)
 
 
-def render_summary(data: dict, path: str) -> str:
-    rows = _require(data, "rows", path, types=dict)
+def render_summary(data: dict) -> str:
+    rows = require(data, "rows", types=dict)
     lines = ["metric summary (mean +- std):"]
     for name, cell in sorted(rows.items()):
-        mean = _require(cell, "mean", path, f"row {name!r}", NUMBER)
-        std = _require(cell, "std", path, f"row {name!r}", NUMBER)
+        mean = require(cell, "mean", f"row {name!r}", NUMBER)
+        std = require(cell, "std", f"row {name!r}", NUMBER)
         lines.append(f"  {name:<14} {mean:.3f} +- {std:.3f}")
     return "\n".join(lines)
 
 
-def render_ablation(data: dict, path: str) -> str:
-    arms = _require(data, "arms", path, types=dict)
+def render_ablation(data: dict) -> str:
+    arms = require(data, "arms", types=dict)
     lines = [f"{'arm':<14}{'reward':>16}{'score':>16}"]
     for name, row in arms.items():
         reward_mean, reward_std, score_mean, score_std = (
-            _require(row, key, path, f"arm {name!r}", NUMBER)
+            require(row, key, f"arm {name!r}", NUMBER)
             for key in ("reward_mean", "reward_std", "score_mean", "score_std")
         )
         lines.append(
@@ -204,10 +207,10 @@ def render_ablation(data: dict, path: str) -> str:
     return "\n".join(lines)
 
 
-def render_curve(data: dict, path: str) -> str:
-    series = _require(data, "series", path, types=list)
+def render_curve(data: dict) -> str:
+    series = require(data, "series", types=list)
     if not all(isinstance(value, NUMBER) for value in series):
-        raise SchemaError(path, "field 'series' is not an array of numbers")
+        raise ValueError("field 'series' is not an array of numbers")
     lines = [f"cover rate over {len(series) - 1} learning iterations "
              f"({data.get('misprediction_count', '?')} frozen mispredictions):"]
     if data.get("defined") is False:
@@ -218,81 +221,52 @@ def render_curve(data: dict, path: str) -> str:
     return "\n".join(lines)
 
 
-def render_trajectory(text: str, path: str) -> str:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SchemaError(path, "empty trajectory file")
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"line 1 is not JSON ({exc})") from exc
-    if not isinstance(head, dict):
-        raise SchemaError(path, "line 1 is not a JSON object")
-    if head.get("format") != FORMAT:
-        raise SchemaError(
-            path, f"line 1: not a format-{FORMAT} trajectory file (format {head.get('format')!r})"
-        )
-    meta = _require(head, "meta", path, "line 1", dict)
+def render_trajectory(text: str) -> str:
+    """A trajectory file's head and step lines, parsed as `Trajectory`
+    parses them but without building its observations."""
+    head, count, steps = parse_ndjson(text)
+    meta = head["meta"]
     kind = "predicted trajectory (delta against the real one)" if "delta" in head else "trajectory"
-    out = [f"{kind}: {len(lines) - 1} transitions "
-           f"(seed {meta.get('seed')}, config {meta.get('config_id')!r})"]
-    for i, line in enumerate(lines[1:], 1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, f"line {i + 1}: malformed transition ({exc})") from exc
-        if not isinstance(record, dict):
-            raise SchemaError(path, f"line {i + 1}: transition is not a JSON object")
-        try:
-            action, outcome, _ = record["action"], record["outcome"], record["next_obs"]
-        except KeyError as exc:
-            raise SchemaError(path, f"line {i + 1}: malformed transition ({exc})") from exc
-        try:
-            success, feedback = outcome["success"], outcome["feedback"]
-            name, args = action["name"], action["args"]
-        except (KeyError, TypeError):
-            success = None
-        if not (isinstance(success, bool) and isinstance(feedback, str)
-                and isinstance(name, str) and isinstance(args, dict)):
-            # Rare path: find the first bad field and name it.
-            where = f"line {i + 1}"
-            _require(outcome, "success", path, f"{where}: outcome", bool)
-            _require(outcome, "feedback", path, f"{where}: outcome", str)
-            _require(action, "name", path, f"{where}: action", str)
-            _require(action, "args", path, f"{where}: action", dict)
-        status = "ok " if success else "FAIL"
+    out = [f"{kind}: {count} transitions "
+           f"(seed {meta['seed']}, config {meta['config_id']!r})"]
+    for i, (name, args, success, feedback, _, _) in enumerate(steps, 1):
         shown = ", ".join(f"{k}={v}" for k, v in args.items())
-        out.append(f"  {i:>4} {status} {name}({shown})  {feedback}")
+        out.append(f"  {i:>4} {'ok ' if success else 'FAIL'} {name}({shown})  {feedback}")
     return "\n".join(out)
 
 
-def inspect_path(path: str | Path) -> str:
-    """Dispatch on the artifact's shape and render it for humans."""
-    path = Path(path)
-    if path.suffix == ".ndjson":
-        return render_trajectory(read_text(path), str(path))
-    data = read_json(path)
-    name = str(path)
+def _render_json(data) -> str:
+    """Dispatch on the artifact's shape: typed kinds are parsed to their
+    type first, the others rendered from the JSON value."""
     if isinstance(data, list):
         if data and isinstance(data[0], dict) and "reward" in data[0]:
-            return render_rows(data, name)
-        return render_rules(data, name)
+            return render_rows(data)
+        return render_rules(RuleSet.from_json(data))
     if not isinstance(data, dict):
-        raise SchemaError(name, "expected a JSON object or array")
+        raise ValueError("expected a JSON object or array")
     if "matrix" in data:
-        return render_coverage(data, name)
+        return render_coverage(data)
     if "arms" in data:
-        return render_ablation(data, name)
+        return render_ablation(data)
     if "series" in data:
-        return render_curve(data, name)
-    if "edges" in data and "status" in data:
-        return render_sg(data, name)
+        return render_curve(data)
+    if "edges" in data and ("status" in data or "vertices" in data):
+        return render_sg(SceneGraph.from_json(data))
     if "edges" in data:
-        return render_kg(data, name)
+        return render_kg(KnowledgeGraph.from_json(data))
     if "reward" in data:
-        return render_metrics(data, name)
+        return render_metrics(data)
     if "spec" in data:
-        return render_manifest(data, name)
+        return render_manifest(data)
     if "rows" in data:
-        return render_summary(data, name)
-    raise SchemaError(name, "unrecognized artifact schema")
+        return render_summary(data)
+    raise ValueError("unrecognized artifact schema")
+
+
+def inspect_path(path: str | Path) -> str:
+    """Render any artifact for humans; a malformed one is a SchemaError
+    naming the file, the place and the field."""
+    path = Path(path)
+    if path.suffix == ".ndjson":
+        return parse_as(path, render_trajectory, read_text(path))
+    return parse_as(path, _render_json, read_json(path))

@@ -11,7 +11,6 @@ import argparse
 import logging
 import sys
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -19,8 +18,8 @@ from . import __version__
 # `run_episode` is not called here (run_learning_trial owns the episode loop),
 # but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
 from .agent import run_episode, score
-from .artifacts import SchemaError, inspect_path, read_json, read_text, write_json, write_text
-from .core import DEFAULT_TOOL_TIERS, Trajectory, classify_transitions
+from .artifacts import inspect_path, read_kg, read_rules, read_trajectory, write_json, write_text
+from .core import DEFAULT_TOOL_TIERS, classify_transitions
 from .env.config import (
     ACHIEVEMENTS,
     CONFIG_IDS,
@@ -203,16 +202,6 @@ def cmd_inspect(path: str) -> int:
     return 0
 
 
-def _load(path: str, read, parse, what: str):
-    """`parse(read(path))`; a file that does not fit `parse` is a
-    SchemaError naming it."""
-    data = read(path)
-    try:
-        return parse(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a {what} file ({exc!r})") from exc
-
-
 def cmd_prune(
     rules_path: str,
     transitions_path: str,
@@ -221,16 +210,12 @@ def cmd_prune(
     out: str,
     kg_path: str | None,
 ) -> int:
-    rules = _load(rules_path, read_json, RuleSet.from_json, "rules")
-    kg = KnowledgeGraph.empty()
-    if kg_path:
-        kg = _load(kg_path, read_json, KnowledgeGraph.from_json, "knowledge-graph")
+    rules = read_rules(rules_path)
+    kg = read_kg(kg_path) if kg_path else KnowledgeGraph.empty()
     # A run's own pair of files: the real trajectory and the base predictor's,
     # a delta against it.  The mispredictions are the learner's own.
-    real = _load(transitions_path, read_text, Trajectory.from_ndjson, "trajectory")
-    predicted = _load(
-        predicted_path, read_text, partial(Trajectory.from_ndjson, real=real), "trajectory"
-    )
+    real = read_trajectory(transitions_path)
+    predicted = read_trajectory(predicted_path, real)
     mispredictions = classify_transitions(real, predicted)
     matrix = build_matrix(
         rules.entries, mispredictions, kg, SceneGraph(), tool_tiers=DEFAULT_TOOL_TIERS
@@ -341,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_prune(
                 args.rules, args.transitions, args.predicted, args.limit, args.out, args.kg
             )
-    except (ValueError, UnsolvableConfig, SchemaError, BackendUnavailable) as exc:
+    except (ValueError, UnsolvableConfig, BackendUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

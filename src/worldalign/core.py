@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 ACTION_NAMES = ("mine", "attack", "sleep", "place", "make", "explore")
 
@@ -50,6 +50,30 @@ def has_tool_at_least(
 
 
 FORMAT = 2  # the trajectory file format `Trajectory.to_ndjson` writes
+
+_ABSENT = object()
+
+
+def require(data, name: str, where: str = "", types: type | tuple = object, default=_ABSENT):
+    """`data[name]` from a parsed JSON value, or a ValueError naming the
+    place (`where`, e.g. "line 3: outcome") and the field when `data` is not
+    an object, the field is missing and has no `default`, or its value is not
+    of `types`.  A bool passes only as `bool` or `object`, never as a number."""
+    try:
+        value = data[name]
+    except KeyError:
+        if default is not _ABSENT:
+            return default
+        problem = f"missing field {name!r}"
+    except TypeError:
+        raise ValueError(f"{where} is not a JSON object" if where else "not a JSON object") from None
+    else:
+        if value.__class__ is types or types is object or (
+            value.__class__ is not bool and isinstance(value, types)
+        ):
+            return value
+        problem = f"field {name!r} has the wrong type ({type(value).__name__})"
+    raise ValueError(f"{where}: {problem}" if where else problem)
 
 
 class LengthMismatch(ValueError):
@@ -134,10 +158,6 @@ class Status:
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in STATUS_FIELDS}
 
-    @staticmethod
-    def from_json(data: dict) -> "Status":
-        return Status(*(int(data[name]) for name in STATUS_FIELDS))
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -196,19 +216,61 @@ class Observation:
     @staticmethod
     def from_json(data: dict, pool: VisibleObjectPool | None = None) -> "Observation":
         """Parse one observation; equal visible objects come from `pool`, so
-        a reader that passes one pool for a whole file interns them."""
+        a reader that passes one pool for a whole file interns them.  A value
+        that is not an observation is a ValueError naming the field."""
         pool = VisibleObjectPool() if pool is None else pool
+        visible = require(data, "visible_objects", types=list)
+        near = require(data, "near_objects", types=list)
+        inventory = require(data, "inventory", types=dict)
+        status = require(data, "status", types=dict)
+        try:
+            # Every object's classes are checked, pool hits too: a bool or a
+            # float x equals an int and would hit that int's object.
+            objects = tuple(
+                pool[v["type"], v["x"], v["y"]] for v in visible
+                if v["type"].__class__ is str and v["x"].__class__ is int and v["y"].__class__ is int
+            )
+        except (KeyError, TypeError):
+            objects = None
+        if objects is None or len(objects) != len(visible):
+            raise ValueError("field 'visible_objects' is not an array of {type: str, x: int, y: int}")
+        if not all(n.__class__ is str for n in near):
+            raise ValueError("field 'near_objects' is not an array of strings")
+        if not all(count.__class__ is int for count in inventory.values()):
+            raise ValueError("field 'inventory' is not an object of integers")
         return Observation(
-            position=str(data["position"]),
-            in_front=str(data["in_front"]),
-            visible_objects=tuple(
-                pool[str(v["type"]), int(v["x"]), int(v["y"])]
-                for v in data["visible_objects"]
-            ),
-            near_objects=frozenset(str(n) for n in data["near_objects"]),
-            status=Status.from_json(data["status"]),
-            inventory={str(k): int(v) for k, v in data["inventory"].items()},
+            position=require(data, "position", types=str),
+            in_front=require(data, "in_front", types=str),
+            visible_objects=objects,
+            near_objects=frozenset(near),
+            status=Status(*(require(status, name, "status", int) for name in STATUS_FIELDS)),
+            inventory=inventory,
         )
+
+
+def check_action(name: str, args: dict) -> None:
+    """The action schema: ValueError unless `name` is an action and `args`
+    carries exactly its keys with its types (positive ints, known
+    directions)."""
+    schema = ACTION_ARGS.get(name)
+    if schema is None:
+        raise ValueError(f"unknown action {name!r}")
+    if args.keys() != schema.keys():
+        raise ValueError(f"{name} takes args {sorted(schema)}, got {sorted(args)}")
+    for key, typ in schema.items():
+        value = args[key]
+        if typ is int:
+            if value.__class__ is not int or value < 1:
+                raise ValueError(f"{name}.{key} must be a positive int")
+        elif value.__class__ is not str:
+            raise ValueError(f"{name}.{key} must be a string")
+    if "direction" in args and args["direction"] not in DIRECTIONS:
+        raise ValueError(f"unknown direction {args['direction']!r}")
+
+
+def check_outcome(success: bool, suggestion: str) -> None:
+    if success and suggestion:
+        raise ValueError("successful outcomes carry no suggestion")
 
 
 @dataclass(frozen=True)
@@ -217,29 +279,10 @@ class Action:
     args: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in ACTION_NAMES:
-            raise ValueError(f"unknown action {self.name!r}")
-        schema = ACTION_ARGS[self.name]
-        if set(self.args) != set(schema):
-            raise ValueError(
-                f"{self.name} takes args {sorted(schema)}, got {sorted(self.args)}"
-            )
-        for key, typ in schema.items():
-            value = self.args[key]
-            if typ is int:
-                if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise ValueError(f"{self.name}.{key} must be a positive int")
-            elif not isinstance(value, str):
-                raise ValueError(f"{self.name}.{key} must be a string")
-        if "direction" in self.args and self.args["direction"] not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.args['direction']!r}")
+        check_action(self.name, self.args)
 
     def to_json(self) -> dict:
         return {"name": self.name, "args": dict(sorted(self.args.items()))}
-
-    @staticmethod
-    def from_json(data: dict) -> "Action":
-        return Action(str(data["name"]), dict(data["args"]))
 
 
 @dataclass(frozen=True)
@@ -255,8 +298,7 @@ class Outcome:
     suggestion: str = ""
 
     def __post_init__(self) -> None:
-        if self.success and self.suggestion:
-            raise ValueError("successful outcomes carry no suggestion")
+        check_outcome(self.success, self.suggestion)
 
     def to_json(self) -> dict:
         return {
@@ -264,14 +306,6 @@ class Outcome:
             "feedback": self.feedback,
             "suggestion": self.suggestion,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Outcome":
-        return Outcome(
-            bool(data["success"]),
-            str(data.get("feedback", "")),
-            str(data.get("suggestion", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -380,31 +414,76 @@ class Trajectory:
     def from_ndjson(text: str, real: "Trajectory | None" = None) -> "Trajectory":
         """Parse `to_ndjson(real)` output; a delta file needs the same
         `real`.  Step t+1's obs is step t's `next_obs` instance, and equal
-        visible objects within the file are interned to one instance."""
-        lines = [line for line in text.splitlines() if line.strip()]
+        visible objects within the file are interned to one instance.  A
+        malformed file is a ValueError naming the line and the field."""
+        head, count, steps = parse_ndjson(text)
+        if ("delta" in head) != (real is not None):
+            raise ValueError("a delta file is read with its real trajectory, a real file alone")
+        if real is not None:
+            _same_length(real, count)
+        pool = VisibleObjectPool()
+        obs = _observation(head["obs"], pool, 1, "obs") if count and real is None else None
+        transitions = []
+        for i, (name, args, success, feedback, suggestion, nxt) in enumerate(steps):
+            if real is not None:
+                obs = real.transitions[i].obs
+            next_obs = obs if nxt == "obs" else _observation(nxt, pool, i + 2, "next_obs")
+            transitions.append(Transition(
+                obs, Action(name, args), Outcome(success, feedback, suggestion), next_obs
+            ))
+            obs = next_obs
+        meta = head["meta"]
+        return Trajectory(tuple(transitions), meta["seed"], meta["config_id"])
+
+
+def _observation(data: dict, pool: VisibleObjectPool, line: int, name: str) -> Observation:
+    try:
+        return Observation.from_json(data, pool)
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {name}: {exc}") from None
+
+
+def parse_ndjson(text: str) -> tuple[dict, int, Iterator[tuple]]:
+    """A format-2 file (`Trajectory.to_ndjson`) without its observations
+    built: the head, the number of step lines, and the step lines, parsed as
+    they are iterated to `(name, args, success, feedback, suggestion,
+    next_obs)`, where `next_obs` is `"obs"` or an observation's JSON.  A
+    malformed line is a ValueError naming it and the field."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    try:
         head = json.loads(lines[0]) if lines else None
         found = head.get("format") if isinstance(head, dict) else None
         if found != FORMAT:
             raise ValueError(f"not a format-{FORMAT} trajectory file (format {found!r})")
-        if ("delta" in head) != (real is not None):
-            raise ValueError("a delta file is read with its real trajectory, a real file alone")
-        body = lines[1:]
-        if real is not None:
-            _same_length(real, len(body))
-        pool = VisibleObjectPool()
-        obs = Observation.from_json(head["obs"], pool) if body and real is None else None
-        steps = []
-        for i, line in enumerate(body):
-            record = json.loads(line)
-            if real is not None:
-                obs = real.transitions[i].obs
-            nxt = record["next_obs"]
-            next_obs = obs if nxt == "obs" else Observation.from_json(nxt, pool)
-            action = Action.from_json(record["action"])
-            steps.append(Transition(obs, action, Outcome.from_json(record["outcome"]), next_obs))
-            obs = next_obs
-        meta = head["meta"]
-        return Trajectory(tuple(steps), int(meta["seed"]), str(meta["config_id"]))
+        meta = require(head, "meta", types=dict)
+        require(meta, "seed", "meta", int)
+        require(meta, "config_id", "meta", str)
+        # a real file's first observation; null only when no step follows
+        if "delta" not in head and (len(lines) > 1 or require(head, "obs") is not None):
+            require(head, "obs", types=dict)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
+    return head, len(lines) - 1, map(_step, range(2, len(lines) + 1), lines[1:])
+
+
+def _step(n: int, line: str) -> tuple:
+    try:
+        record = json.loads(line)
+        action = require(record, "action", types=dict)
+        outcome = require(record, "outcome", types=dict)
+        next_obs = require(record, "next_obs")
+        if next_obs != "obs" and next_obs.__class__ is not dict:
+            raise ValueError("field 'next_obs' is neither \"obs\" nor an object")
+        name = require(action, "name", "action", str)
+        args = require(action, "args", "action", dict)
+        success = require(outcome, "success", "outcome", bool)
+        feedback = require(outcome, "feedback", "outcome", str)
+        suggestion = require(outcome, "suggestion", "outcome", str, default="")
+        check_action(name, args)
+        check_outcome(success, suggestion)
+    except ValueError as exc:
+        raise ValueError(f"line {n}: {exc}") from None
+    return name, args, success, feedback, suggestion, next_obs
 
 
 def _same_length(real: Trajectory, predicted: int) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .core import Observation, Transition
+from .core import Observation, Transition, require
 
 log = logging.getLogger(__name__)
 
@@ -33,10 +33,12 @@ class KgEdge:
     quantity: int | None = None
 
     def __post_init__(self) -> None:
+        if not (self.u.__class__ is str and self.v.__class__ is str and self.relation.__class__ is str):
+            raise ValueError("fields 'u', 'v' and 'relation' must be strings")
         if self.relation not in KG_RELATIONS:
             raise ValueError(f"unknown relation {self.relation!r}")
-        if self.quantity is not None and self.quantity < 1:
-            raise ValueError("edge quantity must be >= 1 when present")
+        if self.quantity is not None and (self.quantity.__class__ is not int or self.quantity < 1):
+            raise ValueError("edge quantity must be an int >= 1 when present")
 
     def key(self) -> tuple[str, str, str]:
         return (self.u, self.v, self.relation)
@@ -50,11 +52,18 @@ class KgEdge:
 
     @staticmethod
     def from_json(data: dict) -> "KgEdge":
-        label = data["label"]
-        quantity = label.get("quantity")
-        if quantity is not None:
-            quantity = int(quantity)
-        return KgEdge(str(data["u"]), str(data["v"]), str(label["relation"]), quantity)
+        """Parse one edge; a malformed one is a ValueError naming the field.
+        The quantity may come quoted ("2"), as a backend may write it."""
+        try:
+            label = data["label"]
+            quantity = label.get("quantity")
+            if quantity.__class__ is str and quantity.isdecimal():
+                quantity = int(quantity)
+            return KgEdge(data["u"], data["v"], label["relation"], quantity)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (AttributeError, TypeError):
+            raise ValueError("not a JSON object with a 'label' object") from None
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,15 @@ class KnowledgeGraph:
 
     @staticmethod
     def from_json(data: dict) -> "KnowledgeGraph":
-        return kg_merge(KnowledgeGraph.empty(), [KgEdge.from_json(e) for e in data["edges"]])
+        """Parse `to_json` output; a malformed edge is a ValueError naming
+        its index and field."""
+        edges = []
+        for i, edge in enumerate(require(data, "edges", types=list)):
+            try:
+                edges.append(KgEdge.from_json(edge))
+            except ValueError as exc:
+                raise ValueError(f"edge {i}: {exc}") from None
+        return kg_merge(KnowledgeGraph.empty(), edges)
 
 
 def kg_merge(base: KnowledgeGraph, new_edges: Iterable[KgEdge]) -> KnowledgeGraph:
@@ -149,7 +166,7 @@ def kg_induce(window: Sequence[Transition], proposer) -> EdgeInduction:
     for entry in raw:
         try:
             edges.append(KgEdge.from_json(entry))
-        except (KeyError, TypeError, ValueError):
+        except ValueError:
             dropped += 1
     if dropped:
         log.info("kg_induce dropped %d malformed edges", dropped)
@@ -217,11 +234,19 @@ class SceneGraph:
 
     @staticmethod
     def from_json(data: dict) -> "SceneGraph":
-        return SceneGraph(
-            vertices=frozenset(data["vertices"]),
-            edges=tuple((e[0], e[1], e[2]) for e in data["edges"]),
-            status=tuple((loc, st) for loc, st in data["status"].items()),
-        )
+        """Parse `to_json` output; a malformed graph is a ValueError naming
+        the field."""
+        vertices = require(data, "vertices", types=list)
+        edges = require(data, "edges", types=list)
+        status = require(data, "status", types=dict)
+        if not all(vertex.__class__ is str for vertex in vertices):
+            raise ValueError("field 'vertices' is not an array of strings")
+        if not all(e.__class__ is list and len(e) == 3 and all(p.__class__ is str for p in e)
+                   for e in edges):
+            raise ValueError("field 'edges' is not an array of [u, v, relation] strings")
+        if not all(st in (EXPLORED, UNEXPLORED) for st in status.values()):
+            raise ValueError(f"field 'status' holds a value other than {EXPLORED!r} and {UNEXPLORED!r}")
+        return SceneGraph(frozenset(vertices), tuple(map(tuple, edges)), tuple(status.items()))
 
 
 def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:

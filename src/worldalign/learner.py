@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Outcome, Trajectory, Transition, classify_transitions
+from .core import Outcome, Trajectory, Transition, classify_transitions, require
 from .dsl import (
     EvalDiagnostics,
     ParseError,
@@ -75,10 +75,19 @@ class RuleSet:
 
     @staticmethod
     def from_json(data: list[dict]) -> "RuleSet":
+        """Parse `to_json` output; a malformed entry is a ValueError naming
+        its index and field."""
+        if not isinstance(data, list):
+            raise ValueError("rules file must be a JSON array")
         entries = []
-        for item in data:
-            ast = parse(item["source"])
-            stored_id = str(item.get("id", ast.id))
+        for i, item in enumerate(data):
+            where = f"entry {i}"
+            stored_id = require(item, "id", where, str)
+            source = require(item, "source", where, str)
+            try:
+                ast = parse(source)
+            except ValueError as exc:
+                raise ValueError(f"{where}: source: {exc}") from None
             if stored_id != ast.id:
                 # ids may have been uniquified after a collision; the stored
                 # id wins so reloaded sets keep their identities
@@ -86,9 +95,9 @@ class RuleSet:
             entries.append(
                 RuleEntry(
                     ast=ast,
-                    source=item["source"],
-                    iteration=int(item.get("iteration_learned", 0)),
-                    covered=int(item.get("covered_count", 0)),
+                    source=source,
+                    iteration=require(item, "iteration_learned", where, int, default=0),
+                    covered=require(item, "covered_count", where, int, default=0),
                 )
             )
         return RuleSet(tuple(entries))

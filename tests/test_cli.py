@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from worldalign.artifacts import SchemaError, inspect_path
 from worldalign.cli import COMMAND_FIELDS, ExperimentSpec, build_parser, main
@@ -154,11 +156,11 @@ MALFORMED = {
     ),
     "line_is_an_array": (
         "trajectory.ndjson", lambda: _trajectory_with(lambda record: [record]),
-        "line 2: transition is not a JSON object",
+        "line 2: not a JSON object",
     ),
     "line_without_next_obs": (
         "trajectory.ndjson", lambda: _trajectory_with(_without("next_obs")),
-        "line 2: malformed transition ('next_obs')",
+        "line 2: missing field 'next_obs'",
     ),
     "format_1_file": (
         "trajectory.ndjson", lambda: _format_1(_one_step_trajectory()),
@@ -179,6 +181,24 @@ MALFORMED = {
                             "selection": [{"gain": 1}]}),
         "selection step 0: missing field 'rule_id'",
     ),
+    "selection_gain_is_a_bool": (
+        "coverage.json",
+        lambda: json.dumps({"rules": ["r1"], "transitions": ["t1"], "matrix": [[True]],
+                            "selection": [{"rule_id": "r1", "gain": True}]}),
+        "selection step 0: field 'gain' has the wrong type (bool)",
+    ),
+    "row_trial_is_an_array": (
+        "rows.json", lambda: json.dumps([{"trial": [1], "reward": 1.0}]),
+        "row 0: field 'trial' has the wrong type (list)",
+    ),
+    "row_reward_is_a_string": (
+        "rows.json", lambda: json.dumps([{"trial": 0, "reward": "1.0"}]),
+        "row 0: field 'reward' has the wrong type (str)",
+    ),
+    "achievement_step_is_a_string": (
+        "metrics.json", lambda: json.dumps({"reward": 1.0, "achievements": {"a": 1, "b": "x"}}),
+        "achievements: field 'b' has the wrong type (str)",
+    ),
 }
 
 
@@ -189,6 +209,24 @@ def test_inspect_malformed_nested_field_exits_2_naming_file_and_field(tmp_path, 
     bad.write_text(content())
     assert run_cli(["inspect", bad]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {detail}\n"
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    from worldalign import artifacts
+
+    target = tmp_path / "out" / "rules.json"
+    artifacts.write_json(target, [])
+
+    def failing_replace(source, destination):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(artifacts.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        artifacts.write_json(target, [{"id": "x"}])
+    with pytest.raises(OSError):
+        artifacts.write_text(target.with_name("trajectory.ndjson"), "{}\n")
+    assert [p.name for p in target.parent.iterdir()] == ["rules.json"]
+    assert target.read_text() == "[]\n"
 
 
 def test_inspect_unknown_schema_errors(tmp_path):
@@ -660,3 +698,200 @@ def test_golden_runs_expand_to_their_format_1_digests(golden_tree, tmp_path, nam
     expanded = shutil.copytree(golden_tree(name), tmp_path / name)
     _expand_to_format_1(expanded)
     assert tree_digest(expanded, skip=("manifest.json",)) == FORMAT_1_DIGESTS[name]
+
+
+# -- one parser per kind: inspect and the typed readers agree ------------------------------
+
+def _read_sg(path):
+    from worldalign.artifacts import parse_as, read_json
+    from worldalign.graphs import SceneGraph
+
+    return parse_as(path, SceneGraph.from_json, read_json(path))
+
+
+def _read_predicted(path):
+    from worldalign.artifacts import read_trajectory
+
+    return read_trajectory(path, read_trajectory(path.with_name("trajectory.ndjson")))
+
+
+def _typed_readers():
+    from worldalign.artifacts import read_kg, read_rules, read_trajectory
+
+    return {"rules.json": read_rules, "kg.json": read_kg, "sg.json": _read_sg,
+            "trajectory.ndjson": read_trajectory, "predicted.ndjson": _read_predicted}
+
+
+MUTATED_RUN = "simulate_episode_cadence_taskdep_noisy"
+
+
+def _retyped(value):
+    """A JSON value of another type than `value`."""
+    if isinstance(value, bool):
+        return "no"
+    if isinstance(value, (int, float)):
+        return "x"
+    if isinstance(value, str):
+        return 0
+    if value is None:
+        return "x"
+    return [] if isinstance(value, dict) else {}
+
+
+def _equal_retyped(value):
+    """A value equal to the int `value` but of another type: a bool for 0 or
+    1, else a float.  Any other value is `_retyped`."""
+    if type(value) is int:
+        return bool(value) if value in (0, 1) else float(value)
+    return _retyped(value)
+
+
+def _resolve(value, path):
+    """(parent, key) pairs down `path`: a str step is a key, an int step picks
+    the child at that position (modulo the count, keys in sorted order).  The
+    walk stops at a leaf, an empty container or a missing key."""
+    trail = []
+    for step in path:
+        if isinstance(value, dict) and value:
+            key = step if isinstance(step, str) else sorted(value)[step % len(value)]
+        elif isinstance(value, list) and value:
+            key = step % len(value)
+        else:
+            break
+        if key not in value and isinstance(value, dict):
+            break
+        trail.append((value, key))
+        value = value[key]
+    return trail
+
+
+def _mutate(value, path, op):
+    """Apply `op` at the end of `path` in place; the keys walked."""
+    trail = _resolve(value, path)
+    if trail:
+        parent, key = trail[-1]
+        kind = op[0]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = _retyped(parent[key])
+        elif kind == "equal":
+            parent[key] = _equal_retyped(parent[key])
+        elif kind == "set":
+            parent[key] = op[1]
+        elif kind == "copy":  # the value at another path
+            source, source_key = _resolve(value, op[1])[-1]
+            parent[key] = source[source_key]
+    return [key for _, key in trail]
+
+
+def _mutated_text(text, name, line, path, op):
+    """`text` with one mutation, and whether it lies inside an observation."""
+    if op[0] == "truncate":
+        lines = text.splitlines()
+        n = line % len(lines)
+        lines[n] = lines[n][: op[1] % max(len(lines[n]), 1)]
+        return "\n".join(lines) + "\n", False
+    if name.endswith(".json"):
+        value = json.loads(text)
+        _mutate(value, path, op)
+        return json.dumps(value, indent=2), False
+    lines = text.splitlines()
+    n = line % len(lines)
+    record = json.loads(lines[n])
+    keys = _mutate(record, path, op)
+    lines[n] = json.dumps(record)
+    observation = "obs" if n == 0 else "next_obs"
+    return "\n".join(lines) + "\n", len(keys) > 1 and keys[0] == observation
+
+
+_walks = st.lists(st.integers(0, 1000), min_size=1, max_size=6)
+_ops = st.one_of(
+    st.just(("drop",)), st.just(("retype",)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("set"), st.sampled_from([0, -1, "", "obs", "owns", "yes", None, [], {}])),
+)
+_mutations = st.one_of(
+    st.tuples(st.sampled_from(sorted(_typed_readers())),
+              st.one_of(st.just(0), st.integers(0, 10**4)), _walks, _ops),
+    # inside a step's next observation
+    st.tuples(st.sampled_from(["trajectory.ndjson", "predicted.ndjson"]),
+              st.integers(1, 10**4),
+              st.lists(st.integers(0, 1000), min_size=1, max_size=3).map(
+                  lambda walk: ["next_obs", *walk]),
+              st.sampled_from([("drop",), ("retype",), ("equal",)])),
+    # an unparseable or changed rule source
+    st.tuples(st.just("rules.json"), st.just(0),
+              st.tuples(st.integers(0, 100), st.just("source")),
+              st.tuples(st.just("set"), st.one_of(st.just("RULE ??? nonsense"),
+                                                  st.text(max_size=30)))),
+    # a KG relation, mostly an unknown one
+    st.tuples(st.just("kg.json"), st.just(0),
+              st.tuples(st.just("edges"), st.integers(0, 100), st.just("label"),
+                        st.just("relation")),
+              st.tuples(st.just("set"), st.one_of(st.sampled_from(["owns", "requires", ""]),
+                                                  st.text(max_size=8)))),
+)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(golden_tree, tmp_path_factory):
+    """A copy of one golden iteration directory, and the original."""
+    import shutil
+
+    source = golden_tree(MUTATED_RUN) / "trial_00" / "iter_01"
+    return shutil.copytree(source, tmp_path_factory.mktemp("mutated") / "iter"), source
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutation=_mutations)
+# The probes on which inspect and the typed readers disagreed before they
+# shared one parser per kind: (file, line, path, mutation).
+@example(mutation=("trajectory.ndjson", 1, ["next_obs"], ("set", 5)))
+@example(mutation=("trajectory.ndjson", 1, ["action"], ("set", {"name": "fly", "args": {}})))
+@example(mutation=("rules.json", 0, [0, "source"], ("set", "RULE ??? nonsense")))
+@example(mutation=("rules.json", 0, [1, "id"], ("copy", [0, "id"])))
+@example(mutation=("sg.json", 0, ["vertices"], ("drop",)))
+@example(mutation=("kg.json", 0, ["edges", 0, "label", "relation"], ("set", "owns")))
+@example(mutation=("kg.json", 0, ["edges", 0, "label", "quantity"], ("set", 0)))
+@example(mutation=("trajectory.ndjson", 1, ["outcome", "success"], ("set", "yes")))
+@example(mutation=("sg.json", 0, ["edges", 0], ("set", "abc")))
+# an observation's near_objects array as an object
+@example(mutation=("trajectory.ndjson", 1, ["next_obs", "near_objects"], ("retype",)))
+# a suggestion on a successful outcome, and a head whose first observation
+# is not an object
+@example(mutation=("trajectory.ndjson", 1, ["outcome", "suggestion"], ("set", "yes")))
+@example(mutation=("trajectory.ndjson", 0, ["obs"], ("set", 5)))
+# a visible object's x as true and as 2.0, equal to the int x of an object the
+# head's observation already put in the file's pool
+@example(mutation=("trajectory.ndjson", 1, ["next_obs", "visible_objects", 31, "x"], ("equal",)))
+@example(mutation=("trajectory.ndjson", 1, ["next_obs", "visible_objects", 32, "x"], ("equal",)))
+def test_inspect_and_the_typed_reader_agree_on_a_mutated_file(mutation_dir, mutation):
+    """Both accept or both raise a SchemaError naming the file; inside an
+    observation, which inspect does not parse, a value of the wrong type is
+    a SchemaError from the typed reader.  Any other exception fails."""
+    work, source = mutation_dir
+    name, line, path, op = mutation
+    target = work / name
+    text, in_observation = _mutated_text((source / name).read_text(), name, line, path, op)
+    target.write_text(text)
+    try:
+        verdicts = []
+        for read in (_typed_readers()[name], inspect_path):
+            try:
+                read(target)
+            except SchemaError as exc:
+                assert exc.path == str(target)
+                verdicts.append("error")
+            else:
+                verdicts.append("ok")
+    finally:
+        target.write_text((source / name).read_text())
+    typed, shown = verdicts
+    if in_observation:
+        assert shown == "ok"
+        if op[0] in ("retype", "equal"):
+            assert typed == "error"
+    else:
+        assert typed == shown

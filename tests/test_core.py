@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from worldalign.core import (
     Trajectory,
     Transition,
     VisibleObject,
+    VisibleObjectPool,
     classify_transitions,
     dumps_canonical,
 )
@@ -77,9 +79,72 @@ def test_observation_json_round_trip(obs):
     assert Observation.from_json(json.loads(json.dumps(obs.to_json()))) == obs
 
 
+def _without(key, *path):
+    def edit(data):
+        inner = data
+        for step in path:
+            inner = inner[step]
+        del inner[key]
+        return data
+    return edit
+
+
+def _set(value, key, *path):
+    def edit(data):
+        inner = data
+        for step in path:
+            inner = inner[step]
+        inner[key] = value
+        return data
+    return edit
+
+
+NOT_VISIBLE_OBJECTS = "field 'visible_objects' is not an array of {type: str, x: int, y: int}"
+
+MALFORMED_OBSERVATIONS = {
+    "not_an_object": (lambda data: [data], "not a JSON object"),
+    "without_position": (_without("position"), "missing field 'position'"),
+    "visible_object_without_x": (_without("x", "visible_objects", 0), NOT_VISIBLE_OBJECTS),
+    "visible_object_type_is_a_number": (_set(7, "type", "visible_objects", 0),
+                                        NOT_VISIBLE_OBJECTS),
+    "visible_object_is_an_array": (_set([], 0, "visible_objects"), NOT_VISIBLE_OBJECTS),
+    "status_food_is_a_string": (_set("9", "food", "status"),
+                                "status: field 'food' has the wrong type (str)"),
+    "near_object_is_a_number": (_set([7], "near_objects"),
+                                "field 'near_objects' is not an array of strings"),
+    "inventory_count_is_a_string": (_set({"wood": "1"}, "inventory"),
+                                    "field 'inventory' is not an object of integers"),
+    "near_objects_is_an_object": (_set({}, "near_objects"),
+                                  "field 'near_objects' has the wrong type (dict)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OBSERVATIONS))
+def test_malformed_observation_is_a_value_error_naming_the_field(case):
+    edit, detail = MALFORMED_OBSERVATIONS[case]
+    data = edit(make_obs(near=("tree",), visible=(("tree", 1, 0),)).to_json())
+    with pytest.raises(ValueError) as err:
+        Observation.from_json(data)
+    assert str(err.value) == detail
+
+
+@pytest.mark.parametrize("x", [True, 1.0])
+def test_a_visible_object_with_a_bool_or_float_x_is_rejected_after_an_equal_int(x):
+    """True and 1.0 equal 1 and hash like it, so they would hit the pooled
+    object of ("tree", 1, 0); the verdict must not depend on what the pool
+    already holds."""
+    pool = VisibleObjectPool()
+    good = make_obs(near=("tree",), visible=(("tree", 1, 0),)).to_json()
+    Observation.from_json(good, pool)
+    bad = _set(x, "x", "visible_objects", 0)(json.loads(json.dumps(good)))
+    for fresh in (pool, VisibleObjectPool()):
+        with pytest.raises(ValueError, match=re.escape(NOT_VISIBLE_OBJECTS)):
+            Observation.from_json(bad, fresh)
+
+
 @given(actions)
 def test_action_json_round_trip(action):
-    assert Action.from_json(json.loads(json.dumps(action.to_json()))) == action
+    assert Action(**json.loads(json.dumps(action.to_json()))) == action
 
 
 def test_transition_digest_is_memoised_outside_equality_and_pickling():
