@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .core import Trajectory, parse_ndjson, require
+from .core import NUMBER, Trajectory, parse_ndjson, require
 from .graphs import KnowledgeGraph, SceneGraph
 from .learner import RuleSet
 
@@ -87,8 +87,6 @@ def read_trajectory(path: str | Path, real: Trajectory | None = None) -> Traject
 
 
 # -- inspection --------------------------------------------------------------
-
-NUMBER = (int, float)
 
 
 def render_rows(data: list) -> str:

@@ -22,9 +22,9 @@ from .artifacts import inspect_path, read_kg, read_rules, read_trajectory, write
 from .core import DEFAULT_TOOL_TIERS, classify_transitions
 from .env.config import (
     ACHIEVEMENTS,
-    CONFIG_IDS,
     TARGET_CHAIN_ACHIEVEMENT,
     UnsolvableConfig,
+    check_solvable,
     load_config,
 )
 from .experiments import (
@@ -74,11 +74,7 @@ class ExperimentSpec:
             raise ValueError("workers must be >= 1")
         if self.target is not None and self.target not in ACHIEVEMENTS:
             raise ValueError(f"unknown target {self.target!r}; 'none' or an achievement")
-        if self.config_id not in CONFIG_IDS and not Path(self.config_id).exists():
-            raise ValueError(
-                f"unknown config {self.config_id!r}; ids: {', '.join(CONFIG_IDS)}"
-            )
-        load_config(self.config_id)  # raises UnsolvableConfig early
+        check_solvable(load_config(self.config_id))
 
     def to_json(self, fields: Sequence[str] | None = None) -> dict:
         """The manifest's spec echo: `fields` (all by default) except `out`,

@@ -51,6 +51,8 @@ def has_tool_at_least(
 
 FORMAT = 2  # the trajectory file format `Trajectory.to_ndjson` writes
 
+NUMBER = (int, float)  # the `require` types of a JSON number
+
 _ABSENT = object()
 
 
@@ -363,9 +365,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.transitions)
-
-    def __getitem__(self, i: int) -> Transition:
-        return self.transitions[i]
 
     def validate_chain(self) -> None:
         """Check temporal consistency (real trajectories only: step t's

@@ -16,14 +16,14 @@ from .config import (
     load_config,
     make_config,
 )
-from .oracle import expected_rule_count, kg_edges_for_config, rules_for_config
+from .oracle import kg_edges_for_config, rules_for_config
 from .world import AchievementLedger, MarsWorld, apply_effect, replay
 
 __all__ = [
     "ACHIEVEMENTS", "AchievementLedger", "CONFIG_IDS", "CreatureTraits",
     "EffectiveTables", "MAKEABLE", "MarsWorld", "MineRule", "Modification",
     "PLACEABLE", "Recipe", "TARGET_CHAIN_ACHIEVEMENT", "UnsolvableConfig",
-    "WorldConfig", "apply_effect", "check_solvable", "expected_rule_count",
+    "WorldConfig", "apply_effect", "check_solvable",
     "kg_edges_for_config", "load_config", "make_config", "replay",
     "rules_for_config",
 ]

@@ -9,13 +9,37 @@ pipeline exists to close.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 
-from ..core import DEFAULT_TOOL_TIERS, has_tool_at_least
+from ..core import DEFAULT_TOOL_TIERS, NUMBER, has_tool_at_least, require
 
 
 class UnsolvableConfig(ValueError):
     """A recipe chain in the config cannot be completed from raw terrain."""
+
+
+# The config file's schema: every field is read by `require`, as its exact type.
+OPTIONAL_STR = (str, type(None))
+
+
+def _at(where: str, name) -> str:
+    return f"{where}: {name}" if where else str(name)
+
+
+def _table(data, name: str, where: str, types=object, parse=None, **default) -> dict:
+    """The object `data[name]` (`default` when one is given and the field is
+    absent): each value of `types`, or parsed by `parse(value, where)`."""
+    table = require(data, name, where, dict, **default)
+    where = _at(where, name)
+    if parse is None:
+        return {key: require(table, key, where, types) for key in table}
+    return {key: parse(table[key], _at(where, key)) for key in table}
+
+
+def _array(data, name: str, where: str, types, **default) -> tuple:
+    values = require(data, name, where, list, **default)
+    return tuple(require(values, i, _at(where, name), types) for i in range(len(values)))
 
 
 @dataclass(frozen=True)
@@ -49,11 +73,11 @@ class Recipe:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "Recipe":
+    def from_json(data: dict, where: str = "") -> "Recipe":
         return Recipe(
-            consumes={k: int(v) for k, v in data.get("consumes", {}).items()},
-            requires={k: int(v) for k, v in data.get("requires", {}).items()},
-            platform=data.get("platform"),
+            consumes=_table(data, "consumes", where, int, default={}),
+            requires=_table(data, "requires", where, int, default={}),
+            platform=require(data, "platform", where, OPTIONAL_STR, default=None),
         )
 
 
@@ -67,8 +91,12 @@ class MineRule:
         return {"drop": self.drop, "tool": self.tool, "consumed": self.consumed}
 
     @staticmethod
-    def from_json(data: dict) -> "MineRule":
-        return MineRule(str(data["drop"]), data.get("tool"), bool(data.get("consumed", True)))
+    def from_json(data: dict, where: str = "") -> "MineRule":
+        return MineRule(
+            require(data, "drop", where, str),
+            require(data, "tool", where, OPTIONAL_STR, default=None),
+            require(data, "consumed", where, bool, default=True),
+        )
 
 
 @dataclass(frozen=True)
@@ -85,11 +113,11 @@ class CreatureTraits:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "CreatureTraits":
+    def from_json(data: dict, where: str = "") -> "CreatureTraits":
         return CreatureTraits(
-            bool(data["hostile"]),
-            int(data.get("on_eat_health_delta", 0)),
-            int(data.get("on_eat_food_delta", 0)),
+            require(data, "hostile", where, bool),
+            require(data, "on_eat_health_delta", where, int, default=0),
+            require(data, "on_eat_food_delta", where, int, default=0),
         )
 
 
@@ -116,16 +144,14 @@ class Modification:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "Modification":
+    def from_json(data: dict, where: str = "") -> "Modification":
         return Modification(
-            kind=str(data["kind"]),
-            terrain_table={k: float(v) for k, v in data.get("terrain_table", {}).items()},
-            recipes={k: Recipe.from_json(v) for k, v in data.get("recipes", {}).items()},
-            mining={k: MineRule.from_json(v) for k, v in data.get("mining", {}).items()},
-            removed_mining=tuple(data.get("removed_mining", ())),
-            survival={
-                k: CreatureTraits.from_json(v) for k, v in data.get("survival", {}).items()
-            },
+            kind=require(data, "kind", where, str),
+            terrain_table=_table(data, "terrain_table", where, NUMBER, default={}),
+            recipes=_table(data, "recipes", where, parse=Recipe.from_json, default={}),
+            mining=_table(data, "mining", where, parse=MineRule.from_json, default={}),
+            removed_mining=_array(data, "removed_mining", where, str, default=[]),
+            survival=_table(data, "survival", where, parse=CreatureTraits.from_json, default={}),
         )
 
 
@@ -205,6 +231,8 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.view) != 2:
+            raise ValueError("view must be (rows, cols)")
         if sum(self.terrain_table.values()) <= 0:
             raise ValueError("terrain spawn weights must sum to a positive value")
         for mining in (self.mining, *(mod.mining for mod in self.modifications)):
@@ -235,13 +263,7 @@ class WorldConfig:
 
     def base_tables(self) -> "EffectiveTables":
         """The unmodified default tables, as a naive prior would recall them."""
-        return EffectiveTables(
-            dict(self.terrain_table),
-            dict(self.recipes),
-            dict(self.mining),
-            tuple(self.tool_tiers),
-            dict(self.survival),
-        )
+        return replace(self, modifications=()).effective()
 
     def to_json(self) -> dict:
         return {
@@ -260,18 +282,23 @@ class WorldConfig:
 
     @staticmethod
     def from_json(data: dict) -> "WorldConfig":
+        """Parse `to_json` output; a malformed config is a ValueError naming
+        the field."""
         return WorldConfig(
-            config_id=str(data.get("config_id", "custom")),
-            grid_size=int(data["grid_size"]),
-            view=(int(data["view"][0]), int(data["view"][1])),
-            max_steps=int(data.get("max_steps", 400)),
-            terrain_table={k: float(v) for k, v in data["terrain_table"].items()},
-            recipes={k: Recipe.from_json(v) for k, v in data["recipes"].items()},
-            mining={k: MineRule.from_json(v) for k, v in data["mining"].items()},
-            tool_tiers=tuple(data["tool_tiers"]),
-            survival={k: CreatureTraits.from_json(v) for k, v in data["survival"].items()},
-            modifications=tuple(Modification.from_json(m) for m in data.get("modifications", ())),
-            seed=int(data.get("seed", 0)),
+            config_id=require(data, "config_id", types=str, default="custom"),
+            grid_size=require(data, "grid_size", types=int),
+            view=_array(data, "view", "", int),
+            max_steps=require(data, "max_steps", types=int, default=400),
+            terrain_table=_table(data, "terrain_table", "", NUMBER),
+            recipes=_table(data, "recipes", "", parse=Recipe.from_json),
+            mining=_table(data, "mining", "", parse=MineRule.from_json),
+            tool_tiers=_array(data, "tool_tiers", "", str),
+            survival=_table(data, "survival", "", parse=CreatureTraits.from_json),
+            modifications=tuple(
+                Modification.from_json(m, f"modification {i}")
+                for i, m in enumerate(require(data, "modifications", types=list, default=[]))
+            ),
+            seed=require(data, "seed", types=int, default=0),
         )
 
 
@@ -396,18 +423,24 @@ CONFIG_IDS = tuple(_COMBOS)
 
 def make_config(config_id: str, seed: int = 0) -> WorldConfig:
     if config_id not in _COMBOS:
-        raise KeyError(f"unknown config id {config_id!r}; known: {', '.join(CONFIG_IDS)}")
+        raise ValueError(f"unknown config {config_id!r}; ids: {', '.join(CONFIG_IDS)}")
     mods = tuple(_MOD_BUILDERS[kind]() for kind in _COMBOS[config_id])
     return WorldConfig(config_id=config_id, modifications=mods, seed=seed)
 
 
 def load_config(path_or_id: str, seed: int | None = None) -> WorldConfig:
-    """Resolve a registry id or a JSON config file path."""
-    if path_or_id in _COMBOS:
+    """Resolve a registry id or a JSON config file path; an unknown id, or a
+    file that cannot be read or parsed, is a ValueError naming it."""
+    if path_or_id in _COMBOS or not os.path.exists(path_or_id):
         config = make_config(path_or_id)
     else:
-        with open(path_or_id) as fh:
-            config = WorldConfig.from_json(json.load(fh))
+        try:
+            with open(path_or_id) as fh:
+                config = WorldConfig.from_json(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path_or_id}: not valid JSON ({exc})") from None
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path_or_id}: {exc}") from None
     if seed is not None:
         config = config.with_seed(seed)
     return config

@@ -72,17 +72,6 @@ def rules_for_config(config: WorldConfig) -> list[str]:
     return rules
 
 
-def expected_rule_count(config: WorldConfig) -> int:
-    """Recompute the oracle rule count from the config's constraint
-    structure: contextual rules, recipe rules, tier rules, placement bans."""
-    tables = config.effective()
-    contextual = 3 + (1 if tables.hostiles() else 0)  # mine/attack/place + sleep
-    recipe_rules = 2  # make + place requirement checks
-    tier_rules = sum(1 for rule in tables.mining.values() if rule.tool is not None)
-    ban_rules = len(set(tables.terrain) - set(tables.mining)) + 2  # + table, furnace
-    return contextual + recipe_rules + tier_rules + ban_rules
-
-
 def kg_edges_for_config(config: WorldConfig) -> list[KgEdge]:
     """The config's recipe and mining tables re-expressed as edges."""
     tables = config.effective()

@@ -176,16 +176,9 @@ def standard_components(
     cadence: str = "episode",
     target_product: str = "iron_pickaxe",
     proposer_seed: int = 0,
-    client=None,  # text-completion client for the backend seats
 ) -> ComponentBuilder:
-    """Builder for the per-episode component stack used by experiments."""
-
-    def make_client():
-        if client is not None:
-            return client
-        from .backend import CompletionClient
-
-        return CompletionClient()
+    """Builder for the per-episode component stack used by experiments.  The
+    backend seats each get a `backend.CompletionClient` of their own."""
 
     def build(config: WorldConfig) -> EpisodeComponents:
         proposer: Proposer | None
@@ -194,11 +187,11 @@ def standard_components(
         elif rule_proposer_kind == "noisy":
             proposer = NoisyOracleProposer(config, corruption=noise, seed=proposer_seed)
         elif rule_proposer_kind == "backend":
-            from .backend import load_prompt
+            from .backend import CompletionClient, load_prompt
             from .proposers import ExternalBackendProposer
 
             proposer = ExternalBackendProposer(
-                make_client(), load_prompt("rule_induction"), load_prompt("kg_induction")
+                CompletionClient(), load_prompt("rule_induction"), load_prompt("kg_induction")
             )
         elif rule_proposer_kind == "none":
             proposer = None
@@ -208,10 +201,10 @@ def standard_components(
         if predictor_kind == "naive":
             predictor = NaivePrior(config)
         elif predictor_kind == "backend":
-            from .backend import load_prompt
+            from .backend import CompletionClient, load_prompt
             from .world_model import ExternalBackendPredictor
 
-            predictor = ExternalBackendPredictor(make_client(), load_prompt("outcome_prediction"))
+            predictor = ExternalBackendPredictor(CompletionClient(), load_prompt("outcome_prediction"))
         else:
             raise ValueError(f"unknown predictor kind {predictor_kind!r}")
 
@@ -219,9 +212,9 @@ def standard_components(
             planner = ScriptedPlanner(config, target=target_product)
         elif planner_kind == "backend":
             from .agent import ExternalBackendPlanner
-            from .backend import load_prompt
+            from .backend import CompletionClient, load_prompt
 
-            planner = ExternalBackendPlanner(make_client(), load_prompt("action_proposal"))
+            planner = ExternalBackendPlanner(CompletionClient(), load_prompt("action_proposal"))
         else:
             raise ValueError(f"unknown planner kind {planner_kind!r}")
 

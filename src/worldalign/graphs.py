@@ -4,6 +4,8 @@ Both graphs are persistent values: every update returns a new instance, so
 readers never observe partial mutations.  The knowledge graph holds
 feasibility constraints (what a product requires, consumes or is collected
 from); the scene graph holds monotone spatial memory keyed by location.
+Proposer seats hand over typed `KgEdge`s; edge JSON is parsed only by
+`KgEdge.from_json`, for a `kg.json` file and for a backend's reply.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from .core import Observation, Transition, require
 log = logging.getLogger(__name__)
 
 KG_RELATIONS = ("requires", "consumes", "collects", "enables")
-SG_RELATIONS = ("located_in", "adjacent", "contains", "owns")
 
 UNEXPLORED = "Unexplored"
 EXPLORED = "Explored"
@@ -146,31 +147,10 @@ def kg_merge(base: KnowledgeGraph, new_edges: Iterable[KgEdge]) -> KnowledgeGrap
     return KnowledgeGraph(frozenset(vertices), tuple(edges))
 
 
-@dataclass(frozen=True)
-class EdgeInduction:
-    edges: tuple[KgEdge, ...]
-    dropped: int
-
-
-def kg_induce(window: Sequence[Transition], proposer) -> EdgeInduction:
-    """Ask a proposer for constraint edges over a window of transitions.
-
-    Malformed entries are rejected edge-by-edge with a count, never
-    wholesale; proposer unavailability propagates to the caller.
-    """
-    if not window:
-        return EdgeInduction((), 0)
-    raw = proposer.propose_kg_edges(window)
-    edges: list[KgEdge] = []
-    dropped = 0
-    for entry in raw:
-        try:
-            edges.append(KgEdge.from_json(entry))
-        except ValueError:
-            dropped += 1
-    if dropped:
-        log.info("kg_induce dropped %d malformed edges", dropped)
-    return EdgeInduction(tuple(edges), dropped)
+def kg_induce(window: Sequence[Transition], proposer) -> tuple[KgEdge, ...]:
+    """The proposer's typed constraint edges for a window of transitions
+    (none for an empty one); proposer unavailability propagates."""
+    return tuple(proposer.propose_kg_edges(window)) if window else ()
 
 
 @dataclass(frozen=True)

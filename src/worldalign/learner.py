@@ -23,7 +23,6 @@ from .dsl import (
     RuleTypeError,
     evaluate,
     parse,
-    pretty_print,
     uses_graphs,
 )
 from .graphs import KnowledgeGraph, SceneGraph, kg_induce, kg_merge, sg_update
@@ -41,9 +40,6 @@ class RuleEntry:
     @property
     def id(self) -> str:
         return self.ast.id
-
-    def canonical(self) -> str:
-        return pretty_print(self.ast)
 
 
 @dataclass(frozen=True)
@@ -514,7 +510,7 @@ def ns_learning(
     entries = list(state.rules.entries)
     for start in range(0, len(real.transitions), WINDOW):
         chunk = real.transitions[start : start + WINDOW]
-        state.kg = kg_merge(state.kg, kg_induce(chunk, proposer).edges)
+        state.kg = kg_merge(state.kg, kg_induce(chunk, proposer))
         entries += induce_rules(chunk, entries, proposer, state.iteration).new_entries
 
     state.history.extend(real.transitions)

@@ -2,18 +2,25 @@
 
 The proposer is the pluggable inductive-reasoning seat: the oracle variants
 answer from the environment config (ideal reasoner, optionally corrupted),
-the backend variant asks an external text-completion service.
+the backend variant asks an external text-completion service.  Every seat
+returns typed `KgEdge`s; only the backend parses edge JSON, its reply's.
 """
 from __future__ import annotations
 
 import json
+import logging
 import random
+from contextlib import suppress
+from dataclasses import replace
 from typing import Protocol, Sequence
 
 from .core import Transition
 from .env.config import WorldConfig
 from .env.oracle import kg_edges_for_config, rules_for_config
+from .graphs import KgEdge
 from .world_model import BackendUnavailable
+
+log = logging.getLogger(__name__)
 
 
 class Proposer(Protocol):
@@ -21,7 +28,7 @@ class Proposer(Protocol):
         self, window: Sequence[Transition], existing: Sequence[str]
     ) -> list[str]: ...
 
-    def propose_kg_edges(self, window: Sequence[Transition]) -> list[dict]: ...
+    def propose_kg_edges(self, window: Sequence[Transition]) -> list[KgEdge]: ...
 
 
 class OracleProposer:
@@ -33,9 +40,8 @@ class OracleProposer:
     """
 
     def __init__(self, config: WorldConfig):
-        self.config = config
         self._rules = rules_for_config(config)
-        self._edges = [edge.to_json() for edge in kg_edges_for_config(config)]
+        self._edges = kg_edges_for_config(config)
 
     def propose_rules(
         self, window: Sequence[Transition], existing: Sequence[str]
@@ -46,8 +52,8 @@ class OracleProposer:
         guards = {text: text.split(" FOR ")[1].split(":")[0] for text in self._rules}
         return [text for text in self._rules if guards[text] in failed_actions]
 
-    def propose_kg_edges(self, window: Sequence[Transition]) -> list[dict]:
-        return [dict(e, label=dict(e["label"])) for e in self._edges]
+    def propose_kg_edges(self, window: Sequence[Transition]) -> list[KgEdge]:
+        return self._edges
 
 
 class NoisyOracleProposer:
@@ -71,13 +77,12 @@ class NoisyOracleProposer:
                 out.append(text)
         return out
 
-    def propose_kg_edges(self, window: Sequence[Transition]) -> list[dict]:
-        edges = self.inner.propose_kg_edges(window)
-        for edge in edges:
-            if self._rng.random() < self.corruption / 3:
-                quantity = edge["label"].get("quantity")
-                if quantity is not None:
-                    edge["label"]["quantity"] = quantity + 1
+    def propose_kg_edges(self, window: Sequence[Transition]) -> list[KgEdge]:
+        edges = []
+        for edge in self.inner.propose_kg_edges(window):
+            if self._rng.random() < self.corruption / 3 and edge.quantity is not None:
+                edge = replace(edge, quantity=edge.quantity + 1)
+            edges.append(edge)
         return edges
 
     def _corrupt_rule(self, text: str) -> str:
@@ -116,7 +121,7 @@ class ExternalBackendProposer:
             raise BackendUnavailable("rule reply missing a new_rules list of strings")
         return rules
 
-    def propose_kg_edges(self, window: Sequence[Transition]) -> list[dict]:
+    def propose_kg_edges(self, window: Sequence[Transition]) -> list[KgEdge]:
         prompt = self.kg_prompt.format(
             transitions=json.dumps(
                 [
@@ -134,7 +139,13 @@ class ExternalBackendProposer:
         data = self._parse_json(reply)
         if not isinstance(data, list):
             raise BackendUnavailable("edge reply is not a JSON list")
-        return [e for e in data if isinstance(e, dict)]
+        edges = []
+        for entry in data:  # a malformed entry is dropped on its own
+            with suppress(ValueError):
+                edges.append(KgEdge.from_json(entry))
+        if len(edges) < len(data):
+            log.info("edge reply: dropped %d malformed entries", len(data) - len(edges))
+        return edges
 
     @staticmethod
     def _parse_json(reply: str):

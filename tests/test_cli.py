@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -47,6 +48,35 @@ def test_simulate_rejects_bad_counts(tmp_path):
     assert run_cli(["simulate", *FAST, "--workers", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--target", "bogus", "--iterations", "1",
                     "--trials", "1", "--out", tmp_path / "x"]) == 2
+    # A config file whose chain cannot close: trees are no longer mined.
+    unsolvable = _config_file(tmp_path, lambda data: data["mining"].pop("tree"))
+    assert run_cli(["simulate", "--config", unsolvable, "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def _config_file(tmp_path, edit):
+    """configs/default.json after `edit(data)`, written under `tmp_path`."""
+    data = json.loads((Path(__file__).parent.parent / "configs" / "default.json").read_text())
+    edit(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda data: data.pop("grid_size"), "missing field 'grid_size'"),
+    (lambda data: data["survival"]["cow"].update(hostile="no"),
+     "survival: cow: field 'hostile' has the wrong type (str)"),
+    (None, "not valid JSON"),
+], ids=["missing_grid_size", "hostile_as_string", "not_json"])
+def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, edit, field):
+    if edit is None:
+        path = tmp_path / "config.json"
+        path.write_text("grid_size: 32\n")
+    else:
+        path = _config_file(tmp_path, edit)
+    assert run_cli(["simulate", "--config", path, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {field}")
     assert not (tmp_path / "x").exists()
 
 

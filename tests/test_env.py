@@ -15,7 +15,6 @@ from worldalign.env import (
     UnsolvableConfig,
     WorldConfig,
     check_solvable,
-    expected_rule_count,
     kg_edges_for_config,
     load_config,
     make_config,
@@ -101,7 +100,7 @@ def test_shipped_config_files_match_registry():
     for config_id in CONFIG_IDS:
         on_disk = json.loads((root / f"{config_id}.json").read_text())
         assert on_disk == make_config(config_id).to_json()
-        assert load_config(str(root / f"{config_id}.json")).config_id == config_id
+        assert load_config(str(root / f"{config_id}.json")) == make_config(config_id)
 
 
 def test_config_json_round_trip():
@@ -224,10 +223,21 @@ def test_taskdep_rules_reference_remapped_source():
     assert ("iron", "tree", "collects") in edges
 
 
+def _expected_rule_count(config: WorldConfig) -> int:
+    """Recompute the oracle rule count from the config's constraint
+    structure: contextual rules, recipe rules, tier rules, placement bans."""
+    tables = config.effective()
+    contextual = 3 + (1 if tables.hostiles() else 0)  # mine/attack/place + sleep
+    recipe_rules = 2  # make + place requirement checks
+    tier_rules = sum(1 for rule in tables.mining.values() if rule.tool is not None)
+    ban_rules = len(set(tables.terrain) - set(tables.mining)) + 2  # + table, furnace
+    return contextual + recipe_rules + tier_rules + ban_rules
+
+
 def test_rule_count_recomputable_from_config():
     for config_id in ("default", "taskdep", "all_three"):
         config = make_config(config_id)
-        assert len(rules_for_config(config)) == expected_rule_count(config)
+        assert len(rules_for_config(config)) == _expected_rule_count(config)
 
 
 def test_solvability_scripted_policy_completes_chain_within_budget():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
-from worldalign.dsl import EvalDiagnostics, evaluate, parse
+from worldalign.dsl import EvalDiagnostics, evaluate, parse, pretty_print
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
@@ -379,7 +379,8 @@ def test_ns_learning_is_idempotent_for_deterministic_proposer():
                         LearnerConfig(), tool_tiers=TIERS)
     second = ns_learning(predicted, real, state, OracleProposer(config),
                          LearnerConfig(), tool_tiers=TIERS)
-    assert [e.canonical() for e in first.entries] == [e.canonical() for e in second.entries]
+    assert ([pretty_print(e.ast) for e in first.entries]
+            == [pretty_print(e.ast) for e in second.entries])
     assert len(state.mispredictions) == len({
         t.digest() + str(p.success) for t, p in state.mispredictions
     })
@@ -513,9 +514,9 @@ DIFFERENTIAL_POOL = (
     "RULE attack FOR attack: FAIL IF NOT (action.args[creature] in near_objects)",
 )
 DIFFERENTIAL_EDGES = (
-    {"u": "grass", "v": "diamond", "label": {"relation": "requires", "quantity": 1}},
-    {"u": "tree", "v": "diamond", "label": {"relation": "requires", "quantity": 1}},
-    {"u": "stone", "v": "wood_pickaxe", "label": {"relation": "requires", "quantity": 1}},
+    KgEdge("grass", "diamond", "requires", 1),
+    KgEdge("tree", "diamond", "requires", 1),
+    KgEdge("stone", "wood_pickaxe", "requires", 1),
 )
 DIFFERENTIAL_OBS = (
     make_obs(position="sand"),
@@ -541,7 +542,7 @@ class _ScriptedProposer:
 
     def __init__(self) -> None:
         self.rules: list[str] = []
-        self.edges: list[dict] = []
+        self.edges: list[KgEdge] = []
 
     def propose_rules(self, window, existing):
         return list(self.rules)
@@ -584,7 +585,7 @@ def test_watermark_drop_invalid_matches_from_scratch(ops):
         if op == "append":  # three probe transitions from anywhere in the run
             history = history + list(real.transitions[arg : arg + 3])
         elif op == "kg":
-            kg = kg_merge(kg, [KgEdge.from_json(DIFFERENTIAL_EDGES[arg % 3])])
+            kg = kg_merge(kg, [DIFFERENTIAL_EDGES[arg % 3]])
         elif op == "sg":
             sg = sg_update(sg, DIFFERENTIAL_OBS[arg % 3])
         elif op == "tiers":
@@ -637,8 +638,7 @@ def test_incremental_drop_invalid_matches_from_scratch(offset, limit, steps):
     with mock.patch.object(learner, "drop_invalid", checked):
         for count, rule_bits, edge_bits, change, obs_index in steps:
             if change == "kg":
-                edges = [KgEdge.from_json(e) for e in _mask(edge_bits, DIFFERENTIAL_EDGES)]
-                state.kg = kg_merge(state.kg, edges)
+                state.kg = kg_merge(state.kg, _mask(edge_bits, DIFFERENTIAL_EDGES))
             elif change == "sg":
                 state.sg = sg_update(state.sg, DIFFERENTIAL_OBS[obs_index])
             elif change == "tiers":
@@ -701,7 +701,7 @@ def test_kept_coverage_rows_match_a_from_scratch_matrix(limit, ops):
         elif op == "rules":  # pool rules drawn anew; one of the same-id twins
             new_rules = _mask(bits, rules) + [twins[bits % 2]]
         elif op == "kg":
-            kg = kg_merge(kg, [KgEdge.from_json(DIFFERENTIAL_EDGES[arg % 3])])
+            kg = kg_merge(kg, [DIFFERENTIAL_EDGES[arg % 3]])
         elif op == "sg":
             sg = sg_update(sg, DIFFERENTIAL_OBS[arg % 3])
         elif op == "tiers":

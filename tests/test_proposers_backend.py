@@ -1,12 +1,14 @@
 import json
+import logging
+import random
 
 import pytest
 
 from worldalign.agent import ExternalBackendPlanner, PlanningContext
 from worldalign.backend import CompletionClient, ENV_URL, load_prompt
 from worldalign.core import Action, Outcome, Transition
-from worldalign.env import make_config
-from worldalign.graphs import KnowledgeGraph, SceneGraph
+from worldalign.env import CONFIG_IDS, kg_edges_for_config, make_config
+from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph
 from worldalign.proposers import (
     ExternalBackendProposer,
     NoisyOracleProposer,
@@ -58,16 +60,38 @@ def test_backend_proposer_rejects_malformed_shapes():
         proposer.propose_rules(_window(), [])
 
 
+def _edge_proposer(entries):
+    return ExternalBackendProposer(FakeClient([json.dumps(entries)]),
+                                   load_prompt("rule_induction"),
+                                   load_prompt("kg_induction"))
+
+
 def test_backend_proposer_parses_edges_and_skips_non_objects():
-    reply = json.dumps([
+    reply = [
         {"u": "table", "v": "wood", "label": {"relation": "consumes", "quantity": 2}},
         "noise",
-    ])
-    proposer = ExternalBackendProposer(FakeClient([reply]),
-                                       load_prompt("rule_induction"),
-                                       load_prompt("kg_induction"))
-    edges = proposer.propose_kg_edges(_window())
-    assert len(edges) == 1
+    ]
+    edges = _edge_proposer(reply).propose_kg_edges(_window())
+    assert edges == [KgEdge("table", "wood", "consumes", 2)]
+
+
+def test_backend_proposer_accepts_quoted_quantity():
+    reply = [{"u": "table", "v": "wood", "label": {"relation": "consumes", "quantity": "2"}}]
+    edges = _edge_proposer(reply).propose_kg_edges(_window())
+    assert edges == [KgEdge("table", "wood", "consumes", 2)]
+
+
+def test_backend_proposer_drops_malformed_edges_one_by_one(caplog):
+    reply = [
+        {"u": "table", "v": "wood", "label": {"relation": "consumes", "quantity": 2}},
+        {"u": "table", "v": "wood", "label": {"relation": "devours", "quantity": 1}},
+        {"oops": True},
+        {"u": "a", "v": "b", "label": {"relation": "requires", "quantity": 0}},
+    ]
+    with caplog.at_level(logging.INFO, logger="worldalign.proposers"):
+        edges = _edge_proposer(reply).propose_kg_edges(_window())
+    assert edges == [KgEdge("table", "wood", "consumes", 2)]
+    assert "dropped 3 malformed entries" in caplog.text
 
 
 def test_backend_unavailability_propagates_from_proposer():
@@ -105,10 +129,41 @@ def test_noisy_oracle_is_deterministic_per_seed():
     assert a != c
 
 
-def test_oracle_edges_match_wire_format():
+def test_oracle_edges_are_the_configs_kg_edges():
     config = make_config("default")
     edges = OracleProposer(config).propose_kg_edges(_window())
-    assert all({"u", "v", "label"} <= set(e) for e in edges)
+    assert edges == kg_edges_for_config(config)
+    assert all(type(edge) is KgEdge for edge in edges)
+
+
+def _wire_noisy_edges(config, corruption, seed, calls):
+    """The noisy seat's edges as they were computed on the wire format: the
+    oracle's edges as dicts, copied per call, a quantity bumped in place
+    with one draw per edge, then parsed by `KgEdge.from_json`.  Returns the
+    edges of each call and the generator, for its final state."""
+    rng = random.Random(f"{seed}:noisy-proposer")
+    wire = [edge.to_json() for edge in kg_edges_for_config(config)]
+    replies = []
+    for _ in range(calls):
+        edges = [dict(e, label=dict(e["label"])) for e in wire]
+        for edge in edges:
+            if rng.random() < corruption / 3:
+                quantity = edge["label"].get("quantity")
+                if quantity is not None:
+                    edge["label"]["quantity"] = quantity + 1
+        replies.append([KgEdge.from_json(edge) for edge in edges])
+    return replies, rng
+
+
+@pytest.mark.parametrize("corruption", [0, 0.3, 1])
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_noisy_edges_match_the_wire_format_reference(config_id, corruption):
+    config = make_config(config_id)
+    for seed in (0, 1, 7, 42):
+        proposer = NoisyOracleProposer(config, corruption=corruption, seed=seed)
+        expected, rng = _wire_noisy_edges(config, corruption, seed, calls=5)
+        assert [proposer.propose_kg_edges(_window()) for _ in range(5)] == expected
+        assert proposer._rng.getstate() == rng.getstate()
 
 
 # -- completion client ---------------------------------------------------------
