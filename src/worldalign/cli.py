@@ -74,7 +74,10 @@ class ExperimentSpec:
             raise ValueError("workers must be >= 1")
         if self.target is not None and self.target not in ACHIEVEMENTS:
             raise ValueError(f"unknown target {self.target!r}; 'none' or an achievement")
-        check_solvable(load_config(self.config_id))
+        try:
+            check_solvable(load_config(self.config_id))
+        except UnsolvableConfig as exc:
+            raise UnsolvableConfig(f"{self.config_id}: {exc}") from None
 
     def to_json(self, fields: Sequence[str] | None = None) -> dict:
         """The manifest's spec echo: `fields` (all by default) except `out`,

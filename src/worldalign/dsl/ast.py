@@ -152,7 +152,9 @@ def uses_graphs(rule: RuleAst) -> bool:
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A string literal that lexes back to `text`: the lexer reads any
+    escaped character as itself, so a newline is written escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n") + '"'
 
 
 def _print_value(value: ValueExpr) -> str:
@@ -207,7 +209,8 @@ def _print_atom(atom: Atom) -> str:
 
 
 def pretty_print(rule: RuleAst) -> str:
-    """Render a rule in canonical single-line form.
+    """Render a rule in canonical form, on one line unless a string holds a
+    newline.
 
     The output re-parses to a structurally identical AST, so two rules have
     the same canonical text exactly when their ASTs are equal.

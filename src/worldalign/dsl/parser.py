@@ -13,6 +13,7 @@ See docs/dsl.md for the atom forms.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..core import ACTION_NAMES, ALL_ARG_NAMES
@@ -52,13 +53,26 @@ class RuleTypeError(ValueError):
     """An atom references a field path that does not exist in the schemas."""
 
 
+# Bounds the AST's depth, so that parsing and hashing a rule never meet
+# Python's recursion limit; the shipped rules nest at most 4 deep.
+MAX_NESTING = 32
+
 _KEYWORDS = {
     "RULE", "FOR", "FAIL", "IF", "SUCCEED", "ONLY", "NOT", "AND", "OR",
     "FEEDBACK", "SUGGEST", "in", "near_objects", "visible_objects",
     "inventory", "obs", "action", "args", "has_tool_at_least", "kg_requires",
     "satisfied_by", "sg_contains", "sg_unexplored",
 }
-_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "(", ")", "[", "]", ":", ",", ".")
+# One alternative per token kind, tried in order at each position.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE> \n )
+  | (?P<SPACE> [ \t\r]+ )
+  | (?P<STRING> " (?: \\[\s\S] | [^"\\\n] )* " )  # a backslash escapes any character
+  | (?P<PUNCT> [=!<>]= | [<>()\[\]:,.] )
+  | (?P<INT> -?\d+ )  # decimal digits only: "²" is a digit to isdigit(), not to int()
+  | (?P<WORD> \w+ )   # a word starts with a letter or "_", checked in _tokenize
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 
 @dataclass(frozen=True)
@@ -71,72 +85,24 @@ class Token:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                elif source[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                else:
-                    buf.append(source[i])
-                    i += 1
-                    col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        matched = False
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            start_col = col
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        kind = match and match.lastgroup
+        if kind is None or kind == "WORD" and not (source[pos].isalpha() or source[pos] == "_"):
+            if source[pos] == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        text = match.group()
+        if kind == "NEWLINE":
+            line, col = line + 1, 0  # the column step below lands on 1
+        elif kind == "STRING":
+            tokens.append(Token(kind, _ESCAPE.sub(r"\1", text[1:-1]), line, col))
+        elif kind == "WORD":
+            tokens.append(Token("KEYWORD" if text in _KEYWORDS else "IDENT", text, line, col))
+        elif kind != "SPACE":
+            tokens.append(Token(text if kind == "PUNCT" else kind, text, line, col))
+        col, pos = col + len(text), match.end()
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -145,13 +111,16 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # NOTs and open parentheses around the current atom
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
+        """The current token; the position then moves on, but never past EOF."""
         tok = self.tokens[self.pos]
-        self.pos += 1
+        if tok.kind != "EOF":
+            self.pos += 1
         return tok
 
     def error(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
@@ -222,15 +191,18 @@ class _Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Expr:
-        if self.at("NOT"):
-            self.advance()
-            return Not(self.unary())
-        if self.at("("):
-            self.advance()
+        if not (self.at("NOT") or self.at("(")):
+            return self.atom()
+        if self.depth == MAX_NESTING:
+            raise self.error(f"more than {MAX_NESTING} NOTs and parentheses around one atom")
+        self.depth += 1
+        if self.advance().text == "NOT":
+            inner = Not(self.unary())
+        else:
             inner = self.expr()
             self.expect(")")
-            return inner
-        return self.atom()
+        self.depth -= 1
+        return inner
 
     # -- atoms ----------------------------------------------------------
     def atom(self) -> Expr:
@@ -316,8 +288,15 @@ class _Parser:
         if tok.kind == "STRING":
             return self.advance().text
         if tok.kind == "INT":
-            return int(self.advance().text)
+            return self.integer()
         raise self.error("expected a literal", ("STRING", "INT"))
+
+    def integer(self) -> int:
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer literal too long", tok.line, tok.col) from None
 
     def obs_cmp(self) -> ObsCmp:
         self.advance()  # obs
@@ -354,7 +333,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "INT":
             raise self.error("inventory comparisons take an integer", ("INT",))
-        count = int(self.advance().text)
+        count = self.integer()
         if count < 0:
             raise RuleTypeError("inventory count must be non-negative")
         return InventoryAtLeast(item, count)

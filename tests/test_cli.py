@@ -38,7 +38,7 @@ def test_simulate_missing_config_fails_before_running(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_simulate_rejects_bad_counts(tmp_path):
+def test_simulate_rejects_bad_counts(tmp_path, capsys):
     assert run_cli(["simulate", *FAST, "--trials", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--rule-limit", "0", "--out", tmp_path / "x"]) == 2
     assert run_cli(["simulate", *FAST, "--replan-limit", "0", "--out", tmp_path / "x"]) == 2
@@ -50,7 +50,9 @@ def test_simulate_rejects_bad_counts(tmp_path):
                     "--trials", "1", "--out", tmp_path / "x"]) == 2
     # A config file whose chain cannot close: trees are no longer mined.
     unsolvable = _config_file(tmp_path, lambda data: data["mining"].pop("tree"))
+    capsys.readouterr()
     assert run_cli(["simulate", "--config", unsolvable, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {unsolvable}: furnace: ")
     assert not (tmp_path / "x").exists()
 
 
@@ -432,6 +434,28 @@ def test_prune_read_errors_exit_2_naming_the_file(tmp_path, capsys, case):
     paths = [tmp_path / a if not a.startswith("--") else a for a in args]
     assert run_cli(["prune", *paths, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / named}: ")
+
+
+UNREADABLE_SOURCES = {
+    "cut_off": "RULE x FOR mine: FAIL IF action.args[",
+    "nested_too_deep": "RULE x FOR mine: FAIL IF " + "NOT " * 500 + '"table" in near_objects',
+}
+
+
+@pytest.mark.parametrize("command", ["inspect", "prune"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_SOURCES))
+def test_a_rule_source_parse_cannot_read_exits_2_naming_the_entry(tmp_path, capsys, command, case):
+    from worldalign.core import Action
+
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"id": "x", "source": UNREADABLE_SOURCES[case]}]))
+    if command == "inspect":
+        args = ["inspect", rules]
+    else:
+        args = ["prune", "--rules", rules, *_write_pair(tmp_path, [Action("sleep", {})]),
+                "--out", tmp_path / "out"]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {rules}: entry 0: source: ")
 
 
 def test_prune_reads_a_runs_trajectory_and_predicted_files(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from worldalign.core import Action
 from worldalign.dsl import (
@@ -32,6 +32,7 @@ from worldalign.dsl import (
     pretty_print,
     uses_graphs,
 )
+from worldalign.dsl.parser import _KEYWORDS, MAX_NESTING, Token, _tokenize
 from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_update
 
 from conftest import make_obs
@@ -189,6 +190,178 @@ def test_printed_expression_preserves_truth_tables(expr, assignment_seed):
         return truth[key]
 
     assert eval_with_stub(expr) == eval_with_stub(reparsed)
+
+
+# -- lexing and totality ------------------------------------------------------
+
+_REFERENCE_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "(", ")", "[", "]", ":", ",", ".")
+
+
+def _reference_tokenize(source):
+    """The character loop the one-pattern lexer replaced, kept as its
+    reference."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and source[i] != '"':
+                if source[i] == "\\" and i + 1 < n:
+                    buf.append(source[i + 1])
+                    i += 2
+                    col += 2
+                elif source[i] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                else:
+                    buf.append(source[i])
+                    i += 1
+                    col += 1
+            if i >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            i += 1
+            col += 1
+            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
+            continue
+        matched = False
+        for punct in _REFERENCE_PUNCT:
+            if source.startswith(punct, i):
+                tokens.append(Token(punct, punct, line, col))
+                i += len(punct)
+                col += len(punct)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
+            start_col = col
+            j = i + 1
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            start_col = col
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
+            tokens.append(Token(kind, word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
+
+
+# The grammar's characters, and some that only look like them: "²" passes
+# isdigit() but is no decimal digit, "½" is numeric, "٣" is a decimal digit,
+# "é" a letter, "\xa0" a space to isspace() only.
+LEXER_ALPHABET = 'aZ_x9-0=!<>()[]:,. \t\r\n"\\²½٣é\xa0'
+# Rules drawn from the grammar, whole, cut off, or with a piece of the
+# alphabet put in, so that drawn texts reach the parser's deeper states and
+# some of them parse.
+HEADS = ["RULE r FOR make: FAIL IF ", "RULE in FOR mine: SUCCEED ONLY IF "]
+ATOMS = [
+    '"table" in near_objects', "action.args[block_name] in visible_objects",
+    'inventory["wood"] >= 3', "obs.status.health < -2", 'obs.position == "gr\\"ass"',
+    'has_tool_at_least("wood_pickaxe")', "kg_requires(action.args[tool_name]) satisfied_by inventory",
+    'sg_contains("grass", "tree")', 'sg_unexplored("stone")', "obs.status.food > ٣",
+]
+TAILS = ["", ' FEEDBACK "no {block_name}"', ' SUGGEST "a\\\nb"', ' FEEDBACK "x\\\\" SUGGEST ""']
+conditions = st.recursive(st.sampled_from(ATOMS), lambda inner: st.one_of(
+    inner.map("NOT {}".format),
+    inner.map("({})".format),
+    st.tuples(inner, st.sampled_from([" AND ", " OR "]), inner).map("".join),
+), max_leaves=6)
+rules = st.tuples(st.sampled_from(HEADS), conditions, st.sampled_from(TAILS)).map("".join)
+texts = st.one_of(
+    st.text(LEXER_ALPHABET),
+    rules,
+    st.tuples(rules, st.integers(0, 300)).map(lambda cut: cut[0][:cut[1]]),
+    st.tuples(rules, st.integers(0, 300), st.text(LEXER_ALPHABET, min_size=1, max_size=3))
+    .map(lambda put: put[0][:put[1]] + put[2] + put[0][put[1]:]),
+)
+
+
+def _lexed(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+@settings(max_examples=400)
+@given(texts)
+@example('RULE a FOR mine: FAIL IF inventory["x"] >= ²')
+@example('"a\\\nb" x')  # an escaped newline: the column moves on, the line does not
+@example('x "never closed\n"')  # reported at its opening quote
+@example("-1 - 1 -x")  # "-" is only ever the sign of an integer
+def test_lexer_matches_the_character_loop_it_replaced(text):
+    new, old = _lexed(_tokenize, text), _lexed(_reference_tokenize, text)
+    if new != old:
+        # Only a digit that int() cannot read lexes differently: it was an
+        # INT token, and is now an unexpected character.
+        assert any(ch.isdigit() and not ch.isdecimal() for ch in text)
+        assert new[0] == "ParseError" and "unexpected character" in new[1]
+
+
+def test_a_non_decimal_digit_is_an_unexpected_character():
+    with pytest.raises(ParseError) as err:
+        parse('RULE a FOR mine: FAIL IF inventory["x"] >= ²')
+    assert (err.value.col, str(err.value)) == (44, "1:44: unexpected character '²'")
+
+
+@settings(max_examples=400)
+@given(st.one_of(texts, st.text()))
+def test_parse_is_total(text):
+    """Any text parses, or raises ParseError or RuleTypeError; what parses
+    hashes, and prints to a text that parses back to it."""
+    try:
+        rule = parse(text)
+    except (ParseError, RuleTypeError):
+        return
+    hash(rule)
+    assert parse(pretty_print(rule)) == rule
+
+
+@pytest.mark.parametrize("text,error", [
+    ("RULE a FOR mine: FAIL IF obs.", RuleTypeError),
+    ("RULE a FOR mine: FAIL IF action.args[", ParseError),
+    ("RULE a FOR mine: FAIL IF obs.status.health > " + "1" * 5000, ParseError),
+    ("RULE a FOR mine: FAIL IF " + "(" * 400, ParseError),
+    ("RULE a FOR mine: FAIL IF " + "NOT " * 500 + '"x" in near_objects', ParseError),
+], ids=["cut_after_dot", "cut_in_brackets", "long_integer", "deep_parens", "deep_nots"])
+def test_malformed_text_is_a_parse_or_type_error(text, error):
+    with pytest.raises(error):
+        parse(text)
+
+
+def test_nesting_is_bounded_at_the_token_that_crosses_the_limit():
+    atom = '"x" in near_objects'
+    deepest = "NOT (" * (MAX_NESTING // 2) + atom + ")" * (MAX_NESTING // 2)
+    assert parse(f"RULE a FOR mine: FAIL IF {deepest}").id == "a"
+    text = f"RULE a FOR mine: FAIL IF NOT {deepest}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.col == text.index(atom)  # the last "(", just before the atom
 
 
 # -- evaluation ----------------------------------------------------------------

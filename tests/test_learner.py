@@ -281,6 +281,18 @@ def test_induce_excludes_unparseable_as_tagged_invalid():
     assert len(result.invalid_texts) == 1
 
 
+def test_induce_returns_malformed_texts_as_invalid_without_raising():
+    good = 'RULE ok FOR make: FAIL IF NOT ("table" in near_objects)'
+    malformed = [
+        "RULE cut FOR mine: FAIL IF obs.",
+        "RULE deep FOR mine: FAIL IF " + "NOT " * 500 + '"table" in near_objects',
+        'RULE sq FOR mine: FAIL IF inventory["wood"] >= ²',
+    ]
+    result = induce_rules(_window_with_failure(), (), TextProposer([*malformed, good]), 0)
+    assert [e.source for e in result.new_entries] == [good]
+    assert result.invalid_texts == tuple(malformed)
+
+
 def test_induce_drops_duplicates_by_canonical_form():
     text = 'RULE near FOR make: FAIL IF NOT ("table" in near_objects)'
     spaced = 'RULE near FOR make: FAIL IF NOT ( "table" in near_objects )'
