@@ -96,26 +96,34 @@ def dumps_canonical(obj: object) -> str:
     return _CANONICAL_ENCODER.encode(obj)
 
 
+class Memoised:
+    """Base of the values that keep memos beside their fields, each named
+    with a leading "_" (no field is) and read as an attribute whose class
+    default stands in until the first computation (reading `__dict__` would
+    give each instance a dict, which slows every later attribute read).
+    Memos stay out of equality, repr and pickled state: a `str` hash is
+    salted per process."""
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
+
+
 @dataclass(frozen=True)
-class VisibleObject:
+class VisibleObject(Memoised):
     """One entry of an observation's visible-object list, offsets relative
     to the agent (x = columns east, y = rows south)."""
 
     type: str
     x: int
     y: int
-    # Memo read as an attribute: the class default stands in until the first
-    # `canonical()` call.  Reading `__dict__` would materialise a per-instance
-    # dict, which slows every later attribute read of the object.
-    _text = None
+    _text = None  # memo of canonical()
 
     def to_json(self) -> dict:
         return {"type": self.type, "x": self.x, "y": self.y}
 
     def canonical(self) -> str:
-        """`dumps_canonical(self.to_json())`, computed once per instance and
-        stored beside the frozen fields (outside equality, hashing, repr and
-        pickled state).  Interned objects therefore serialize once."""
+        """`dumps_canonical(self.to_json())`, computed once per instance, so
+        interned objects serialize once."""
         text = self._text
         if text is None:
             # Written out, not dumped: a `json.dumps` call costs more than the
@@ -126,11 +134,6 @@ class VisibleObject:
             text = f'{{"type":{escaped},"x":{self.x!r},"y":{self.y!r}}}'
             object.__setattr__(self, "_text", text)
         return text
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_text", None)
-        return state
 
 
 class VisibleObjectPool(dict):
@@ -311,12 +314,12 @@ class Outcome:
 
 
 @dataclass(frozen=True)
-class Transition:
+class Transition(Memoised):
     obs: Observation
     action: Action
     outcome: Outcome
     next_obs: Observation
-    _digest = None  # memo of digest(), read as an attribute like VisibleObject._text
+    _digest = None  # memo of digest()
 
     def to_json(self) -> dict:
         return {
@@ -338,11 +341,7 @@ class Transition:
 
     def digest(self) -> str:
         """Short content hash of `canonical()`, used as a stable transition
-        id.
-
-        Computed once per instance: the fields are frozen, so the hash is
-        stored beside them (outside equality, hashing and pickled state).
-        """
+        id; computed once per instance."""
         cached = self._digest
         if cached is None:
             import hashlib
@@ -350,11 +349,6 @@ class Transition:
             cached = hashlib.sha1(self.canonical().encode()).hexdigest()[:12]
             object.__setattr__(self, "_digest", cached)
         return cached
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_digest", None)
-        return state
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core import Memoised
+
 COMPARATORS = ("==", "!=", "<", "<=", ">", ">=")
 
 # Observation field paths the DSL may reference, with their value type.
@@ -124,13 +126,33 @@ Expr = Atom | Not | And | Or
 
 
 @dataclass(frozen=True)
-class RuleAst:
+class RuleAst(Memoised):
     id: str
     action_guard: str
     polarity: Polarity
     condition: Expr
     feedback_template: str = ""
     suggestion_template: str = ""
+    _hash = None  # memo of __hash__()
+    _anonymous = None  # memo of anonymous()
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the field tuple, computed once per instance."""
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.id, self.action_guard, self.polarity, self.condition,
+                           self.feedback_template, self.suggestion_template))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def anonymous(self) -> "RuleAst":
+        """This rule with an empty id, built once per instance."""
+        twin = self._anonymous
+        if twin is None:
+            twin = RuleAst("", self.action_guard, self.polarity, self.condition,
+                           self.feedback_template, self.suggestion_template)
+            object.__setattr__(self, "_anonymous", twin)
+        return twin
 
 
 _GRAPH_ATOMS = (KgSatisfied, SgContains, SgUnexplored)

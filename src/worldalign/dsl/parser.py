@@ -137,6 +137,12 @@ class _Parser:
         tok = self.peek()
         return tok.kind != "STRING" and tok.text == text
 
+    def name(self) -> Token:
+        """The next token as an action, field or argument name: never quoted."""
+        if self.peek().kind == "STRING":
+            raise self.error("a name is written without quotes", ("IDENT",))
+        return self.advance()
+
     # -- rule ----------------------------------------------------------
     def rule(self) -> RuleAst:
         self.expect("RULE")
@@ -144,7 +150,7 @@ class _Parser:
         if name.kind not in ("IDENT", "KEYWORD"):
             raise ParseError("rule id must be an identifier", name.line, name.col, ("IDENT",))
         self.expect("FOR")
-        guard = self.advance()
+        guard = self.name()
         if guard.text not in ACTION_NAMES:
             raise RuleTypeError(f"unknown action {guard.text!r} in rule guard")
         self.expect(":")
@@ -267,7 +273,7 @@ class _Parser:
             self.expect(".")
             self.expect("args")
             self.expect("[")
-            key = self.advance()
+            key = self.name()
             self.expect("]")
             self._check_arg(key)
             return ArgRef(key.text)
@@ -301,10 +307,10 @@ class _Parser:
     def obs_cmp(self) -> ObsCmp:
         self.advance()  # obs
         self.expect(".")
-        path = [self.advance().text]
+        path = [self.name().text]
         while self.at("."):
             self.advance()
-            path.append(self.advance().text)
+            path.append(self.name().text)
         key = tuple(path)
         if key not in OBS_FIELDS:
             raise RuleTypeError(f"unknown observation field obs.{'.'.join(path)}")

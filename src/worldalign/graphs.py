@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .core import Observation, Transition, require
+from .core import Memoised, Observation, Transition, require
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +68,10 @@ class KgEdge:
 
 
 @dataclass(frozen=True)
-class KnowledgeGraph:
+class KnowledgeGraph(Memoised):
     vertices: frozenset[str] = frozenset()
     edges: tuple[KgEdge, ...] = ()
+    _slots = None  # memo of each edge key's index in `edges`, kept by kg_merge
 
     @staticmethod
     def empty() -> "KnowledgeGraph":
@@ -125,26 +126,39 @@ def kg_merge(base: KnowledgeGraph, new_edges: Iterable[KgEdge]) -> KnowledgeGrap
 
     Idempotent and batch-order-insensitive at the edge-set level; a repeated
     (u, v, relation) triple with a different quantity replaces the old edge
-    (newest wins) and logs the conflict.
+    in place (newest wins) and logs the conflict.  Vertices gain the
+    appended edges' endpoints (every graph built here holds its own).
+    Returns `base` itself when the edges come out equal to base's; else
+    base's edges and key index are copied on the first write.
     """
-    edges = list(base.edges)
-    index = {e.key(): i for i, e in enumerate(edges)}
+    slots = base._slots
+    if slots is None:
+        slots = {e.key(): i for i, e in enumerate(base.edges)}
+        object.__setattr__(base, "_slots", slots)
+    edges = base.edges  # a list from the first write on
     for edge in new_edges:
-        slot = index.get(edge.key())
+        key = edge.key()
+        slot = slots.get(key)
+        if slot is not None and edges[slot].quantity == edge.quantity:
+            continue
+        if edges is base.edges:
+            edges, slots = list(edges), dict(slots)
         if slot is None:
-            index[edge.key()] = len(edges)
+            slots[key] = len(edges)
             edges.append(edge)
-        elif edges[slot].quantity != edge.quantity:
+        else:
             log.info(
                 "kg quantity conflict on %s: %r -> %r (keeping newest)",
-                edge.key(), edges[slot].quantity, edge.quantity,
+                key, edges[slot].quantity, edge.quantity,
             )
             edges[slot] = edge
-    vertices = set(base.vertices)
-    for edge in edges:
-        vertices.add(edge.u)
-        vertices.add(edge.v)
-    return KnowledgeGraph(frozenset(vertices), tuple(edges))
+    edges = tuple(edges)  # base's own tuple when nothing was written
+    if edges == base.edges:
+        return base
+    vertices = base.vertices.union(*((e.u, e.v) for e in edges[len(base.edges):]))
+    merged = KnowledgeGraph(vertices, edges)
+    object.__setattr__(merged, "_slots", slots)
+    return merged
 
 
 def kg_induce(window: Sequence[Transition], proposer) -> tuple[KgEdge, ...]:
@@ -154,13 +168,11 @@ def kg_induce(window: Sequence[Transition], proposer) -> tuple[KgEdge, ...]:
 
 
 @dataclass(frozen=True)
-class SceneGraph:
+class SceneGraph(Memoised):
     vertices: frozenset[str] = frozenset()
     edges: tuple[tuple[str, str, str], ...] = ()  # (u, v, relation)
     status: tuple[tuple[str, str], ...] = ()  # (location, Explored|Unexplored)
-    # Memo of `_unchanged_kinds()`, read as an attribute like
-    # `VisibleObject._text`: the class default stands in until the first call.
-    _memo = None
+    _memo = None  # memo of _unchanged_kinds()
 
     @staticmethod
     def initial(locations: Sequence[str]) -> "SceneGraph":
@@ -178,8 +190,7 @@ class SceneGraph:
 
         A location counts as Explored only if every status entry it has
         says so, and a location or kind counts only if it is a vertex.
-        Computed once per instance and stored beside the frozen fields
-        (outside equality, hashing, repr and pickled state).
+        Computed once per instance.
         """
         memo = self._memo
         if memo is None:
@@ -193,11 +204,6 @@ class SceneGraph:
                     kinds.add(v)
             object.__setattr__(self, "_memo", memo)
         return memo
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_memo", None)
-        return state
 
     def status_map(self) -> dict[str, str]:
         return dict(self.status)

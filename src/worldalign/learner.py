@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Outcome, Trajectory, Transition, classify_transitions, require
+from .core import Memoised, Outcome, Trajectory, Transition, classify_transitions, require
 from .dsl import (
     EvalDiagnostics,
     ParseError,
@@ -119,11 +119,13 @@ class ValidityWatermark:
     rule id reused for another text misses.  Both hold only for the graphs
     and tool tiers they were computed under and for the history and
     misprediction list they were computed on; `refresh` forgets whatever
-    the current inputs no longer vouch for.
+    the current inputs no longer vouch for.  `ids` holds the leading
+    mispredictions' digests, which depend on that list alone.
     """
 
     upto: dict[RuleAst, int] = field(default_factory=dict)
     rows: dict[RuleAst, tuple[bool, ...]] = field(default_factory=dict)
+    ids: tuple[str, ...] = ()
     graphs: tuple[KnowledgeGraph, SceneGraph] | None = None
     tool_tiers: tuple[str, ...] | None = None
     checked: int = 0  # history length at the last check
@@ -144,10 +146,10 @@ class ValidityWatermark:
         Every entry goes when the tool tiers change or the history is not
         an extension of the one last checked (its last checked transition is
         no longer in place); only the graph-reading rules' entries go when
-        the graphs' content changed.  Every row also goes when the
-        misprediction list is not an extension of the one last seen (its
+        the graphs' content changed.  Every row, and `ids`, also go when
+        the misprediction list is not an extension of the one last seen (its
         last seen pair is no longer in place).  Graphs are compared by
-        value; an unchanged scene graph is the same instance, which compares
+        value; an unchanged graph is the same instance, which compares
         at once.
         """
         tool_tiers = tuple(tool_tiers)
@@ -160,6 +162,7 @@ class ValidityWatermark:
                     del known[ast]
         if not _extends(mispredictions, self.seen, self.last_seen):
             self.rows.clear()
+            self.ids = ()
         self.graphs = (kg, sg)
         self.tool_tiers = tool_tiers
         self.checked = len(history)
@@ -207,7 +210,7 @@ def misprediction_key(transition: Transition, predicted: Outcome) -> str:
 
 
 @dataclass
-class LearnerState:
+class LearnerState(Memoised):
     """Single-owner state threading through learning iterations."""
 
     rules: RuleSet = field(default_factory=RuleSet)
@@ -220,9 +223,19 @@ class LearnerState:
     coverage: CoverageMatrix = field(default_factory=CoverageMatrix)  # kept rules' rows
     diagnostics: EvalDiagnostics = field(default_factory=EvalDiagnostics)
     validity: ValidityWatermark = field(default_factory=ValidityWatermark)
+    _keys = None  # memo of misprediction_keys(): the set, and _extends's count and last pair
 
     def misprediction_keys(self) -> set[str]:
-        return {misprediction_key(t, p) for t, p in self.mispredictions}
+        """The key of every stored misprediction, kept: a call keys only the
+        pairs appended since, or all when the list no longer extends the
+        one covered.  A caller that appends a pair may add its key."""
+        items = self.mispredictions
+        keys, n, last = self._keys or (set(), 0, None)
+        if not _extends(items, n, last):
+            keys, n = set(), 0
+        keys.update(misprediction_key(t, p) for t, p in items[n:])
+        self._keys = (keys, len(items), items[-1] if items else None)
+        return keys
 
 
 @dataclass(frozen=True)
@@ -255,7 +268,7 @@ def induce_rules(
     dropped.  Every new rule gets an id no pool rule holds.
     """
     raw = proposer.propose_rules(window, [e.source for e in pool])
-    known = {replace(e.ast, id="") for e in pool}
+    known = {e.ast.anonymous() for e in pool}
     taken = {e.id for e in pool}
     new: list[RuleEntry] = []
     invalid: list[str] = []
@@ -266,7 +279,7 @@ def induce_rules(
             log.info("discarding unparseable rule: %s (%s)", text[:60], exc)
             invalid.append(text)
             continue
-        anonymous = replace(ast, id="")
+        anonymous = ast.anonymous()
         if anonymous in known:
             continue
         known.add(anonymous)
@@ -324,12 +337,14 @@ def build_matrix(
     *,
     tool_tiers: Sequence[str],
     rows: dict[RuleAst, tuple[bool, ...]] | None = None,
+    ids: tuple[str, ...] = (),
 ) -> CoverageMatrix:
     """Each entry's coverage row over the mispredictions, in order.
 
     `rows` maps a rule's AST to its row over the leading mispredictions;
     only the cells past it are evaluated.  The map is updated in place with
     every entry's full row.  An empty or absent map builds from scratch.
+    Only the mispredictions past `ids`, the leading ones' digests, are digested.
     """
     if rows is None:
         rows = {}
@@ -341,7 +356,7 @@ def build_matrix(
         )
     return CoverageMatrix(
         rule_ids=tuple(e.id for e in entries),
-        transition_ids=tuple(t.digest() for t, _ in mispredictions),
+        transition_ids=ids + tuple(t.digest() for t, _ in mispredictions[len(ids):]),
         a=tuple(rows[e.ast] for e in entries),
     )
 
@@ -389,7 +404,8 @@ def select_rules(
     trace = tuple(prune_trace(matrix, limit))
     picked = [matrix.rule_ids.index(step.rule_id) for step in trace]
     kept = tuple(
-        replace(entries[i], covered=step.gain) for i, step in zip(picked, trace)
+        RuleEntry(entries[i].ast, entries[i].source, entries[i].iteration, step.gain)
+        for i, step in zip(picked, trace)
     )
     rows = CoverageMatrix(
         tuple(step.rule_id for step in trace),
@@ -526,8 +542,9 @@ def ns_learning(
         )
         matrix = build_matrix(
             pool.entries, state.mispredictions, state.kg, state.sg,
-            tool_tiers=tool_tiers, rows=state.validity.rows,
+            tool_tiers=tool_tiers, rows=state.validity.rows, ids=state.validity.ids,
         )
+        state.validity.ids = matrix.transition_ids
         kept, state.last_trace, state.coverage = select_rules(
             pool.entries, matrix, config.limit
         )

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,22 @@ def test_type_mismatch_rejected():
         parse('RULE x FOR make: FAIL IF obs.status.health == "low"')
 
 
+@pytest.mark.parametrize("text,col", [
+    ('RULE a FOR "make": FAIL IF obs.position == "x"', 12),
+    ('RULE a FOR make: FAIL IF obs."position" == "x"', 30),
+    ('RULE a FOR make: FAIL IF obs.status."health" > 2', 37),
+    ('RULE a FOR make: FAIL IF action.args["tool_name"] == "y"', 38),
+], ids=["guard", "obs_field", "obs_subfield", "args_key"])
+def test_a_quoted_name_is_a_parse_error_at_the_string(text, col):
+    """The guard, the obs field path and the action.args key are names,
+    written bare; a quoted one would give a rule a second spelling."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.expected) == (1, col, ("IDENT",))
+    assert parse(text.replace('"make"', "make").replace('"position"', "position")
+                 .replace('"health"', "health").replace('"tool_name"', "tool_name"))
+
+
 def test_parse_many_stanzas_and_comments():
     rules = parse_many(CORPUS.read_text())
     assert len(rules) == 9
@@ -160,6 +179,28 @@ def test_pretty_print_parse_round_trip(rule):
 def test_pretty_print_is_stable(rule):
     text = pretty_print(rule)
     assert pretty_print(parse(text)) == text
+
+
+def _field_tuple(rule):
+    return (rule.id, rule.action_guard, rule.polarity, rule.condition,
+            rule.feedback_template, rule.suggestion_template)
+
+
+@given(rule_asts)
+def test_rule_hash_and_anonymous_twin_are_memoised_outside_equality_repr_and_pickling(rule):
+    """The memoised hash is the dataclass hash of the field tuple, and the
+    twin is the rule with an empty id; neither shows in equality, repr or
+    pickled state."""
+    fresh = replace(rule)
+    pickled, shown = pickle.dumps(fresh), repr(fresh)
+    assert hash(rule) == hash(_field_tuple(rule))
+    assert rule._hash == hash(rule)  # kept
+    twin = rule.anonymous()
+    assert twin == replace(rule, id="") and rule.anonymous() is twin
+    assert (pickle.dumps(rule), repr(rule), rule) == (pickled, shown, fresh)
+    for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert copied == rule
+        assert copied._hash is None and copied._anonymous is None
 
 
 def test_corpus_round_trips():

@@ -1,6 +1,7 @@
 import copy
 import logging
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from worldalign.core import Action, Outcome, Transition
 from worldalign.env import make_config
 from worldalign.env.oracle import kg_edges_for_config
+from worldalign import graphs
 from worldalign.graphs import (
     EXPLORED,
     KgEdge,
@@ -72,6 +74,67 @@ def test_conflicting_quantity_keeps_newest_and_logs(caplog):
     (edge,) = merged.edges
     assert edge.quantity == 3
     assert any("conflict" in record.message for record in caplog.records)
+
+
+def _reference_kg_merge(base, new_edges, conflicts):
+    """The full rebuild kg_merge replaced: copy every edge, index every key,
+    and union every edge's endpoints.  Conflicts go to the list."""
+    edges = list(base.edges)
+    index = {e.key(): i for i, e in enumerate(edges)}
+    for edge in new_edges:
+        slot = index.get(edge.key())
+        if slot is None:
+            index[edge.key()] = len(edges)
+            edges.append(edge)
+        elif edges[slot].quantity != edge.quantity:
+            conflicts.append((edge.key(), edges[slot].quantity, edge.quantity))
+            edges[slot] = edge
+    vertices = set(base.vertices)
+    for edge in edges:
+        vertices.add(edge.u)
+        vertices.add(edge.v)
+    return KnowledgeGraph(frozenset(vertices), tuple(edges))
+
+
+@given(st.lists(edges_strategy, min_size=1, max_size=5), st.integers(0, 4))
+@example([[KgEdge("table", "wood", "consumes", 2)], [KgEdge("table", "wood", "consumes", 2)]], 0)
+@example([[KgEdge("table", "wood", "consumes", 2)], [KgEdge("table", "wood", "consumes", 3)]], 0)
+@example([[KgEdge("table", "wood", "requires", 1)],  # a change undone in the same batch
+          [KgEdge("table", "wood", "requires"), KgEdge("table", "wood", "requires", 1)]], 4)
+def test_kg_merge_matches_the_full_rebuild(batches, pickled_at):
+    """A chain of merges, each from the graph the last one returned (so the
+    key index is handed on) and again from the same base, and one from a
+    pickled copy (so the index is rebuilt):
+    same edges in the same order with the same quantities, same vertices
+    and conflict log lines, and `base` itself exactly when the result
+    equals it."""
+    kg = KnowledgeGraph.empty()
+    for i, batch in enumerate(batches):
+        if i == pickled_at:
+            kg = pickle.loads(pickle.dumps(kg))
+        conflicts = []
+        expected = _reference_kg_merge(kg, batch, conflicts)
+        with mock.patch.object(graphs, "log") as log:
+            merged = kg_merge(kg, batch)
+        assert list(merged.edges) == list(expected.edges)
+        assert merged.vertices == expected.vertices
+        assert [c.args[1:] for c in log.info.call_args_list] == conflicts
+        assert (merged is kg) == (expected == kg)
+        assert kg_merge(kg, batch) == merged  # base's own index was not written
+        kg = merged
+
+
+def test_knowledge_graph_memo_is_outside_equality_hashing_repr_and_pickling():
+    edges = kg_edges_for_config(make_config("default"))
+    kg = kg_merge(KnowledgeGraph.empty(), edges)
+    twin = KnowledgeGraph(kg.vertices, kg.edges)
+    pickled, shown, hashed = pickle.dumps(twin), repr(twin), hash(twin)
+    assert kg_merge(kg, edges) is kg  # answered from kg's key index
+    assert kg._slots is not None and twin._slots is None
+    assert kg == twin
+    assert (pickle.dumps(kg), repr(kg), hash(kg)) == (pickled, shown, hashed)
+    assert pickle.loads(pickle.dumps(kg))._slots is None
+    assert copy.deepcopy(kg)._slots is None
 
 
 def test_requirements_reads_direct_edges_only():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 import random
 from dataclasses import replace
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
-from worldalign.dsl import EvalDiagnostics, evaluate, parse, pretty_print
+from worldalign.dsl import EvalDiagnostics, ParseError, RuleTypeError, evaluate, parse, pretty_print
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
@@ -17,6 +18,7 @@ from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_u
 from worldalign.learner import (
     WINDOW,
     CoverageMatrix,
+    InductionResult,
     LearnerConfig,
     LearnerState,
     RuleEntry,
@@ -27,6 +29,7 @@ from worldalign.learner import (
     coverage,
     drop_invalid,
     induce_rules,
+    misprediction_key,
     ns_learning,
     prune_trace,
 )
@@ -961,3 +964,155 @@ def test_learner_coverage_matches_a_rebuilt_matrix(config_id, seed, cadence, pro
     with mock.patch.object(agent, "ns_learning", checked):
         run_learning_trial(make_config(config_id), seed, 2, build)
     assert updates
+
+
+# -- state kept between learning calls ------------------------------------------
+
+def _reference_induce_rules(window, pool, proposer, iteration):
+    """induce_rules as it was before the anonymous twins were kept: each
+    call builds every pool rule's id-less copy again."""
+    raw = proposer.propose_rules(window, [e.source for e in pool])
+    known = {replace(e.ast, id="") for e in pool}
+    taken = {e.id for e in pool}
+    new, invalid = [], []
+    for text in raw:
+        try:
+            ast = parse(text)
+        except (ParseError, RuleTypeError):
+            invalid.append(text)
+            continue
+        anonymous = replace(ast, id="")
+        if anonymous in known:
+            continue
+        known.add(anonymous)
+        rule_id = learner._unique_id(ast.id, taken)
+        taken.add(rule_id)
+        if rule_id != ast.id:
+            ast = replace(ast, id=rule_id)
+        new.append(RuleEntry(ast=ast, source=text, iteration=iteration))
+    return InductionResult(tuple(new), tuple(invalid))
+
+
+# The differential pool with respaced copies, texts whose ids collide with
+# other rules' ids or with a renamed id, and one text that does not parse.
+INDUCED_TEXTS = (
+    *DIFFERENTIAL_POOL,
+    *(t.replace("FAIL IF", "FAIL  IF") for t in DIFFERENTIAL_POOL[:3]),
+    'RULE near FOR mine: FAIL IF obs.in_front == "tree"',
+    'RULE near__2 FOR mine: FAIL IF obs.in_front == "sand"',
+    "RULE ??? broken text",
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2 ** len(INDUCED_TEXTS) - 1),
+    st.lists(st.lists(st.sampled_from(INDUCED_TEXTS), max_size=8), min_size=1, max_size=3),
+)
+def test_induce_rules_decides_duplicates_and_ids_as_the_rebuilding_reference(pool_bits, batches):
+    """Over calls that grow one pool, so that its rules' kept twins are
+    reused: the same new entries with the same ids, and the same invalid
+    texts, as the reference."""
+    pool = tuple(_entry(t) for t in _mask(pool_bits, INDUCED_TEXTS) if "???" not in t)
+    pool = tuple({e.id: e for e in pool}.values())  # one entry per id, as a RuleSet holds
+    window = _window_with_failure()
+    for iteration, texts in enumerate(batches):
+        got = induce_rules(window, pool, TextProposer(texts), iteration)
+        assert got == _reference_induce_rules(window, pool, TextProposer(texts), iteration)
+        pool += got.new_entries
+
+
+class _RebuiltKeys(LearnerState):
+    """The reference: every call keys the whole misprediction list again."""
+
+    def misprediction_keys(self):
+        return {misprediction_key(t, p) for t, p in self.mispredictions}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2 ** len(DIFFERENTIAL_POOL) - 1),
+    st.lists(
+        st.tuples(
+            st.integers(-6, 6),  # step the probe window back (repeats) or on
+            st.sampled_from(("none", "replace", "shorten", "history")),
+            st.integers(0, 99),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(rule_bits=16, steps=[(6, "none", 0), (-6, "shorten", 50), (6, "none", 0)])
+@example(rule_bits=16, steps=[(6, "none", 0), (0, "replace", 3), (6, "none", 0)])
+def test_kept_misprediction_keys_and_ids_match_from_scratch(rule_bits, steps):
+    """ns_learning with the kept key set and transition ids, beside a state
+    that rebuilds its keys: after every call, and after the list is
+    replaced by fresh pairs or shortened in place, or the history cut, the
+    keys, the stored mispredictions and the matrix's transition ids equal
+    from-scratch ones."""
+    (real, predicted), locations = _differential_probe()
+    proposer = _ScriptedProposer()
+    proposer.rules = _mask(rule_bits, DIFFERENTIAL_POOL)
+    kept, rebuilt = LearnerState(), _RebuiltKeys()
+    for state in (kept, rebuilt):
+        state.sg = SceneGraph.initial(locations)
+    cursor = 0
+    for move, change, arg in steps:
+        for state in (kept, rebuilt):
+            if change == "replace":  # other pairs, at least as many, in fresh tuples
+                pairs = classify_transitions(real, predicted)
+                start = arg % len(pairs)
+                state.mispredictions = [
+                    (t, p) for t, p in (pairs[start:] + pairs[:start])[: len(state.mispredictions) + 1]
+                ]
+            elif change == "shorten":
+                del state.mispredictions[len(state.mispredictions) * arg // 100:]
+            elif change == "history":
+                state.history = state.history[: len(state.history) // 2]
+        assert kept.misprediction_keys() == rebuilt.misprediction_keys()
+        start = max(0, min(cursor + min(move, 0), len(real)))
+        cursor = min(len(real), start + abs(move))
+        for state in (kept, rebuilt):
+            ns_learning(
+                Trajectory(predicted.transitions[start:cursor]),
+                Trajectory(real.transitions[start:cursor]),
+                state, proposer, LearnerConfig(limit=2), tool_tiers=TIERS,
+            )
+        assert kept.mispredictions == rebuilt.mispredictions
+        assert kept.misprediction_keys() == rebuilt.misprediction_keys()
+        digests = tuple(t.digest() for t, _ in kept.mispredictions)
+        assert kept.validity.ids == kept.coverage.transition_ids == digests
+        assert kept.coverage == rebuilt.coverage
+
+
+def test_learner_state_memo_is_outside_equality_and_pickling():
+    (real, predicted), locations = _differential_probe()
+    state = LearnerState(sg=SceneGraph.initial(locations))
+    ns_learning(predicted, real, state, _ScriptedProposer(), LearnerConfig(), tool_tiers=TIERS)
+    assert state.mispredictions and state._keys is not None
+    twin = pickle.loads(pickle.dumps(state))
+    assert twin._keys is None and twin == state
+    assert twin.misprediction_keys() == state.misprediction_keys()
+
+
+def _learned_state(config_id, seed):
+    """Top level, so that a spawned worker can run it: the learner state
+    after two noisy iterations."""
+    from worldalign.experiments import run_learning_trial, standard_components
+
+    build = standard_components(rule_proposer_kind="noisy", proposer_seed=seed)
+    return run_learning_trial(make_config(config_id, seed=seed), seed, 2, build, target=None).state
+
+
+def test_rule_asts_returned_by_a_worker_pool_hash_as_the_parents_own():
+    """A str hash is salted per process, so a hash a worker memoised must
+    not come back with its rule: every returned AST, and every watermark
+    key, is found through ASTs that the parent parsed itself."""
+    from worldalign.experiments import run_trials
+
+    states = run_trials(_learned_state, [("default", 1), ("all_three", 2)], 2)
+    for state in states:
+        by_ast = {replace(parse(e.source), id=e.id): e.id for e in state.rules.entries}
+        assert by_ast
+        assert [by_ast[e.ast] for e in state.rules.entries] == [e.id for e in state.rules.entries]
+        assert all(ast in state.validity.rows and ast in state.validity.upto for ast in by_ast)
