@@ -20,9 +20,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .core import NUMBER, Trajectory, parse_ndjson, require
+from .core import NUMBER, Trajectory, from_json, parse_ndjson, require
 from .graphs import KnowledgeGraph, SceneGraph
-from .learner import RuleSet
+from .learner import RuleSet, SelectionStep
 
 
 class SchemaError(ValueError):
@@ -129,12 +129,10 @@ def render_coverage(data: dict) -> str:
     selection = require(data, "selection", types=list, default=[])
     if selection:
         lines.append("greedy selection trace:")
-        for i, step in enumerate(selection):
-            where = f"selection step {i}"
-            rule_id = require(step, "rule_id", where, str)
-            gain = require(step, "gain", where, int)
-            lines.append(f"  pick {rule_id:<28} gain {gain}")
-        covered = sum(step["gain"] for step in selection)
+        steps = [from_json(SelectionStep, step, f"selection step {i}")
+                 for i, step in enumerate(selection)]
+        lines.extend(f"  pick {step.rule_id:<28} gain {step.gain}" for step in steps)
+        covered = sum(step.gain for step in steps)
         lines.append(f"selected {len(selection)} rules covering {covered}/{len(transitions)}")
     return "\n".join(lines)
 

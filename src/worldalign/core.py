@@ -9,8 +9,9 @@ and predicted ones produced by a world model (which generally do not).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 ACTION_NAMES = ("mine", "attack", "sleep", "place", "make", "explore")
 
@@ -53,7 +54,7 @@ FORMAT = 2  # the trajectory file format `Trajectory.to_ndjson` writes
 
 NUMBER = (int, float)  # the `require` types of a JSON number
 
-_ABSENT = object()
+_ABSENT = MISSING  # no default, for `require` as for a dataclass field
 
 
 def require(data, name: str, where: str = "", types: type | tuple = object, default=_ABSENT):
@@ -76,6 +77,59 @@ def require(data, name: str, where: str = "", types: type | tuple = object, defa
             return value
         problem = f"field {name!r} has the wrong type ({type(value).__name__})"
     raise ValueError(f"{where}: {problem}" if where else problem)
+
+
+def to_json(obj):
+    """The JSON value of a plain dataclass: its fields in order, nested
+    dataclasses in turn, dicts with their keys sorted, tuples as arrays."""
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: to_json(obj[key]) for key in sorted(obj)}
+    if isinstance(obj, tuple):
+        return [to_json(item) for item in obj]
+    return obj
+
+
+_hints = cache(get_type_hints)
+
+
+def from_json(cls: type, data, where: str = ""):
+    """Parse `to_json` output into dataclass `cls`. The field annotations are
+    the schema and every leaf goes through `require`, so a malformed value,
+    or one that `cls` rejects, is a ValueError naming the place and the field
+    (`modifications: 0: recipes: field 'table' has the wrong type (int)`). A
+    field with a default may be absent, unless `cls._json_required` names it;
+    `cls._json_defaults` holds defaults that only the file format has."""
+    required = getattr(cls, "_json_required", ())
+    defaults = getattr(cls, "_json_defaults", {})
+    values = {}
+    for f in fields(cls):
+        default = f.default if f.default_factory is _ABSENT else f.default_factory()
+        default = _ABSENT if f.name in required else defaults.get(f.name, default)
+        values[f.name] = _read(_hints(cls)[f.name], data, f.name, where, default)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _read(hint, data, key, where: str, default=_ABSENT):
+    """`data[key]` as type `hint`: `str`, `int` and `bool` exactly, `float` as
+    any number, `X | None` as X or null; `dict[str, X]`, `tuple[X, ...]` (or
+    `tuple[X, X]`: its class checks the length) and dataclasses item by item."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is not dict and origin is not tuple and not is_dataclass(hint):
+        return require(data, key, where, NUMBER if hint is float else args or hint, default)
+    value = require(data, key, where, list if origin is tuple else dict, default)
+    if value is default:
+        return value
+    where = f"{where}: {key}" if where else str(key)
+    if origin is dict:
+        return {name: _read(args[1], value, name, where) for name in value}
+    if origin is tuple:
+        return tuple(_read(args[0], value, i, where) for i in range(len(value)))
+    return from_json(hint, value, where)
 
 
 class LengthMismatch(ValueError):

@@ -12,34 +12,23 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from ..core import DEFAULT_TOOL_TIERS, NUMBER, has_tool_at_least, require
+from ..core import DEFAULT_TOOL_TIERS, from_json, has_tool_at_least
 
 
 class UnsolvableConfig(ValueError):
     """A recipe chain in the config cannot be completed from raw terrain."""
 
 
-# The config file's schema: every field is read by `require`, as its exact type.
-OPTIONAL_STR = (str, type(None))
+# The smallest grid `MarsWorld.reset` lays out: a 5x5 clearing, and around it
+# a ring (distance 3 from the centre) with a cell for each forced block.
+MIN_GRID_SIZE = 7
 
 
-def _at(where: str, name) -> str:
-    return f"{where}: {name}" if where else str(name)
-
-
-def _table(data, name: str, where: str, types=object, parse=None, **default) -> dict:
-    """The object `data[name]` (`default` when one is given and the field is
-    absent): each value of `types`, or parsed by `parse(value, where)`."""
-    table = require(data, name, where, dict, **default)
-    where = _at(where, name)
-    if parse is None:
-        return {key: require(table, key, where, types) for key in table}
-    return {key: parse(table[key], _at(where, key)) for key in table}
-
-
-def _array(data, name: str, where: str, types, **default) -> tuple:
-    values = require(data, name, where, list, **default)
-    return tuple(require(values, i, _at(where, name), types) for i in range(len(values)))
+def _at_least(least: int, **tables: dict) -> None:
+    for name, table in tables.items():
+        for key, value in table.items():
+            if value < least:
+                raise ValueError(f"{name}: field {key!r} is {value}, below {least}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +36,9 @@ class Recipe:
     consumes: dict[str, int] = field(default_factory=dict)
     requires: dict[str, int] = field(default_factory=dict)
     platform: str | None = None
+
+    def __post_init__(self) -> None:
+        _at_least(1, consumes=self.consumes, requires=self.requires)
 
     def needs(self) -> dict[str, int]:
         """What the inventory must hold: requires plus consumes, summed."""
@@ -65,21 +57,6 @@ class Recipe:
             else:
                 inventory.pop(material, None)
 
-    def to_json(self) -> dict:
-        return {
-            "consumes": dict(sorted(self.consumes.items())),
-            "requires": dict(sorted(self.requires.items())),
-            "platform": self.platform,
-        }
-
-    @staticmethod
-    def from_json(data: dict, where: str = "") -> "Recipe":
-        return Recipe(
-            consumes=_table(data, "consumes", where, int, default={}),
-            requires=_table(data, "requires", where, int, default={}),
-            platform=require(data, "platform", where, OPTIONAL_STR, default=None),
-        )
-
 
 @dataclass(frozen=True)
 class MineRule:
@@ -87,38 +64,12 @@ class MineRule:
     tool: str | None = None  # minimum tier in tool_tiers, None = bare hands
     consumed: bool = True  # mined cell turns to grass
 
-    def to_json(self) -> dict:
-        return {"drop": self.drop, "tool": self.tool, "consumed": self.consumed}
-
-    @staticmethod
-    def from_json(data: dict, where: str = "") -> "MineRule":
-        return MineRule(
-            require(data, "drop", where, str),
-            require(data, "tool", where, OPTIONAL_STR, default=None),
-            require(data, "consumed", where, bool, default=True),
-        )
-
 
 @dataclass(frozen=True)
 class CreatureTraits:
     hostile: bool
     on_eat_health_delta: int = 0
     on_eat_food_delta: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "hostile": self.hostile,
-            "on_eat_health_delta": self.on_eat_health_delta,
-            "on_eat_food_delta": self.on_eat_food_delta,
-        }
-
-    @staticmethod
-    def from_json(data: dict, where: str = "") -> "CreatureTraits":
-        return CreatureTraits(
-            require(data, "hostile", where, bool),
-            require(data, "on_eat_health_delta", where, int, default=0),
-            require(data, "on_eat_food_delta", where, int, default=0),
-        )
 
 
 @dataclass(frozen=True)
@@ -133,26 +84,8 @@ class Modification:
     removed_mining: tuple[str, ...] = ()
     survival: dict[str, CreatureTraits] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "terrain_table": dict(sorted(self.terrain_table.items())),
-            "recipes": {k: v.to_json() for k, v in sorted(self.recipes.items())},
-            "mining": {k: v.to_json() for k, v in sorted(self.mining.items())},
-            "removed_mining": list(self.removed_mining),
-            "survival": {k: v.to_json() for k, v in sorted(self.survival.items())},
-        }
-
-    @staticmethod
-    def from_json(data: dict, where: str = "") -> "Modification":
-        return Modification(
-            kind=require(data, "kind", where, str),
-            terrain_table=_table(data, "terrain_table", where, NUMBER, default={}),
-            recipes=_table(data, "recipes", where, parse=Recipe.from_json, default={}),
-            mining=_table(data, "mining", where, parse=MineRule.from_json, default={}),
-            removed_mining=_array(data, "removed_mining", where, str, default=[]),
-            survival=_table(data, "survival", where, parse=CreatureTraits.from_json, default={}),
-        )
+    def __post_init__(self) -> None:
+        _at_least(0, terrain_table=self.terrain_table)
 
 
 DEFAULT_TERRAIN = {
@@ -230,11 +163,21 @@ class WorldConfig:
     modifications: tuple[Modification, ...] = ()
     seed: int = 0
 
+    # The file format: these fields must be present though they have
+    # defaults, and a file without a config id reads as "custom".
+    _json_required = "grid_size view terrain_table recipes mining tool_tiers survival".split()
+    _json_defaults = {"config_id": "custom"}
+
     def __post_init__(self) -> None:
         if len(self.view) != 2:
             raise ValueError("view must be (rows, cols)")
-        if sum(self.terrain_table.values()) <= 0:
-            raise ValueError("terrain spawn weights must sum to a positive value")
+        if self.grid_size < MIN_GRID_SIZE:
+            raise ValueError(f"field 'grid_size' is {self.grid_size}, below {MIN_GRID_SIZE}")
+        if min(self.view) < 1:
+            raise ValueError(f"field 'view' is {list(self.view)}; rows and cols must be >= 1")
+        _at_least(0, terrain_table=self.terrain_table)
+        if min(sum(self.terrain_table.values()), sum(self.effective().terrain.values())) <= 0:
+            raise ValueError("terrain spawn weights must sum to a positive value, modified or not")
         for mining in (self.mining, *(mod.mining for mod in self.modifications)):
             for block, rule in mining.items():
                 if rule.tool is not None and rule.tool not in self.tool_tiers:
@@ -264,43 +207,6 @@ class WorldConfig:
     def base_tables(self) -> "EffectiveTables":
         """The unmodified default tables, as a naive prior would recall them."""
         return replace(self, modifications=()).effective()
-
-    def to_json(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "grid_size": self.grid_size,
-            "view": list(self.view),
-            "max_steps": self.max_steps,
-            "terrain_table": dict(sorted(self.terrain_table.items())),
-            "recipes": {k: v.to_json() for k, v in sorted(self.recipes.items())},
-            "mining": {k: v.to_json() for k, v in sorted(self.mining.items())},
-            "tool_tiers": list(self.tool_tiers),
-            "survival": {k: v.to_json() for k, v in sorted(self.survival.items())},
-            "modifications": [m.to_json() for m in self.modifications],
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "WorldConfig":
-        """Parse `to_json` output; a malformed config is a ValueError naming
-        the field."""
-        return WorldConfig(
-            config_id=require(data, "config_id", types=str, default="custom"),
-            grid_size=require(data, "grid_size", types=int),
-            view=_array(data, "view", "", int),
-            max_steps=require(data, "max_steps", types=int, default=400),
-            terrain_table=_table(data, "terrain_table", "", NUMBER),
-            recipes=_table(data, "recipes", "", parse=Recipe.from_json),
-            mining=_table(data, "mining", "", parse=MineRule.from_json),
-            tool_tiers=_array(data, "tool_tiers", "", str),
-            survival=_table(data, "survival", "", parse=CreatureTraits.from_json),
-            modifications=tuple(
-                Modification.from_json(m, f"modification {i}")
-                for i, m in enumerate(require(data, "modifications", types=list, default=[]))
-            ),
-            seed=require(data, "seed", types=int, default=0),
-        )
-
 
 @dataclass(frozen=True)
 class EffectiveTables:
@@ -436,7 +342,7 @@ def load_config(path_or_id: str, seed: int | None = None) -> WorldConfig:
     else:
         try:
             with open(path_or_id) as fh:
-                config = WorldConfig.from_json(json.load(fh))
+                config = from_json(WorldConfig, json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path_or_id}: not valid JSON ({exc})") from None
         except (OSError, ValueError) as exc:

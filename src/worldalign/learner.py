@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Memoised, Outcome, Trajectory, Transition, classify_transitions, require
+from .core import Memoised, Outcome, Trajectory, Transition, classify_transitions, require, to_json
 from .dsl import (
     EvalDiagnostics,
     ParseError,
@@ -200,7 +200,7 @@ class CoverageMatrix:
             "rules": list(self.rule_ids),
             "transitions": list(self.transition_ids),
             "matrix": [[1 if cell else 0 for cell in row] for row in self.a],
-            "selection": [{"rule_id": s.rule_id, "gain": s.gain} for s in trace],
+            "selection": [to_json(step) for step in trace],
             "limit": limit,
         }
 

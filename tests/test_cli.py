@@ -70,7 +70,30 @@ def _config_file(tmp_path, edit):
     (lambda data: data["survival"]["cow"].update(hostile="no"),
      "survival: cow: field 'hostile' has the wrong type (str)"),
     (None, "not valid JSON"),
-], ids=["missing_grid_size", "hostile_as_string", "not_json"])
+    (lambda data: data["recipes"].update(table=1),
+     "recipes: field 'table' has the wrong type (int)"),
+    (lambda data: data.update(modifications=[{"kind": "terrain", "terrain_table": {"sand": "x"}}]),
+     "modifications: 0: terrain_table: field 'sand' has the wrong type (str)"),
+    (lambda data: data.update(grid_size=2), "field 'grid_size' is 2, below 7"),
+    (lambda data: data.update(grid_size=6), "field 'grid_size' is 6, below 7"),
+    (lambda data: data.update(view=[0, 0]), "field 'view' is [0, 0]"),
+    (lambda data: data.update(view=[-1, 9]), "field 'view' is [-1, 9]"),
+    (lambda data: data["terrain_table"].update(sand=-0.1),
+     "terrain_table: field 'sand' is -0.1, below 0"),
+    (lambda data: data.update(modifications=[{"kind": "terrain", "terrain_table": {"sand": -1}}]),
+     "modifications: 0: terrain_table: field 'sand' is -1, below 0"),
+    (lambda data: data["recipes"]["table"]["consumes"].update(wood=-2),
+     "recipes: table: consumes: field 'wood' is -2, below 1"),
+    (lambda data: data["recipes"]["table"].update(requires={"wood": 0}),
+     "recipes: table: requires: field 'wood' is 0, below 1"),
+    (lambda data: data.update(modifications=[
+        {"kind": "terrain", "terrain_table": dict.fromkeys(data["terrain_table"], 0)}]),
+     "terrain spawn weights must sum to a positive value, modified or not"),
+], ids=["missing_grid_size", "hostile_as_string", "not_json", "recipe_not_an_object",
+        "modification_field_mistyped", "grid_size_2", "grid_size_one_below_the_least",
+        "view_zero", "view_negative_rows", "negative_terrain_weight",
+        "modification_negative_weight", "consumes_count_negative",
+        "requires_count_zero", "modified_weights_sum_to_zero"])
 def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, edit, field):
     if edit is None:
         path = tmp_path / "config.json"

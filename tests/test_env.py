@@ -1,17 +1,23 @@
+import copy
+import dataclasses
 import json
 import random
+import re
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from worldalign.core import Action, Observation, VisibleObject
+from worldalign.core import Action, Observation, VisibleObject, from_json, to_json
 from worldalign.dsl import parse
 from worldalign.env import (
     CONFIG_IDS,
+    CreatureTraits,
     MarsWorld,
+    MineRule,
     Modification,
+    Recipe,
     UnsolvableConfig,
     WorldConfig,
     check_solvable,
@@ -21,6 +27,7 @@ from worldalign.env import (
     replay,
     rules_for_config,
 )
+from worldalign.env.config import MIN_GRID_SIZE
 from worldalign.env.world import CREATURE_SPAWNS, FORCED_BLOCKS
 from worldalign.experiments import run_learning_trial, standard_components
 
@@ -98,14 +105,119 @@ def test_all_shipped_configs_are_solvable():
 def test_shipped_config_files_match_registry():
     root = Path(__file__).parent.parent / "configs"
     for config_id in CONFIG_IDS:
-        on_disk = json.loads((root / f"{config_id}.json").read_text())
-        assert on_disk == make_config(config_id).to_json()
+        written = json.dumps(to_json(make_config(config_id)), sort_keys=True, indent=2) + "\n"
+        assert (root / f"{config_id}.json").read_bytes() == written.encode(), config_id
         assert load_config(str(root / f"{config_id}.json")) == make_config(config_id)
 
 
 def test_config_json_round_trip():
     config = make_config("all_three", seed=3)
-    assert WorldConfig.from_json(config.to_json()) == config
+    assert from_json(WorldConfig, to_json(config)) == config
+
+
+def test_a_config_file_may_leave_out_the_id_and_the_defaulted_fields():
+    data = to_json(make_config("all_three", seed=3))
+    for name in ("config_id", "max_steps", "modifications", "seed"):
+        del data[name]
+    assert from_json(WorldConfig, data) == WorldConfig(config_id="custom")
+
+
+# Every value of a shipped config, at any depth, as (path, kind of JSON value).
+_JSON_KIND = {bool: "bool", int: "number", float: "number", str: "text",
+              type(None): "text", list: "array", dict: "object"}
+_WRONG_VALUES = {"bool": [True, False], "number": [0, -3, 1.5], "text": ["x", None],
+                 "array": [[], [1]], "object": [{}, {"a": 1}]}
+
+
+def _nodes(value, path=()):
+    if path:
+        yield path, _JSON_KIND[type(value)]
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+_SHIPPED_NODES = [(config_id, path, kind) for config_id in CONFIG_IDS
+                  for path, kind in _nodes(to_json(make_config(config_id)))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(node=st.sampled_from(_SHIPPED_NODES), data=st.data())
+def test_a_mistyped_value_at_any_depth_is_an_error_naming_its_key(node, data):
+    # "text" stands for a string or null: either may be valid where one goes
+    # (`platform`, `tool`), so neither replaces the other.
+    config_id, path, kind = node
+    wrong = data.draw(st.sampled_from(
+        [v for k, values in _WRONG_VALUES.items() if k != kind for v in values]))
+    config = copy.deepcopy(to_json(make_config(config_id)))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = wrong
+    with pytest.raises(ValueError, match=f"field {re.escape(repr(path[-1]))} has the wrong type"):
+        from_json(WorldConfig, config)
+
+
+_names = st.from_regex(r"[a-z][a-z_]{0,7}", fullmatch=True)
+_weights = st.dictionaries(_names, st.floats(0, 1) | st.integers(0, 3), max_size=3)
+_counts = st.dictionaries(_names, st.integers(1, 9), max_size=3)
+_recipes = st.dictionaries(_names, st.builds(
+    Recipe, consumes=_counts, requires=_counts, platform=st.none() | _names), max_size=3)
+_survival = st.dictionaries(_names, st.builds(
+    CreatureTraits, hostile=st.booleans(), on_eat_health_delta=st.integers(-9, 9),
+    on_eat_food_delta=st.integers(-9, 9)), max_size=3)
+
+
+@st.composite
+def world_configs(draw) -> WorldConfig:
+    tiers = tuple(draw(st.lists(_names, max_size=3, unique=True)))
+    tools = st.none() | st.sampled_from(tiers) if tiers else st.none()
+    mining = st.dictionaries(_names, st.builds(
+        MineRule, drop=_names, tool=tools, consumed=st.booleans()), max_size=3)
+    modifications = st.lists(st.builds(
+        Modification, kind=st.sampled_from(["terrain", "survival", "taskdep"]),
+        terrain_table=_weights, recipes=_recipes, mining=mining,
+        removed_mining=st.lists(_names, max_size=2).map(tuple), survival=_survival,
+    ), max_size=3)
+    return WorldConfig(
+        config_id=draw(_names),
+        grid_size=draw(st.integers(MIN_GRID_SIZE, 64)),
+        view=(draw(st.integers(1, 15)), draw(st.integers(1, 15))),
+        max_steps=draw(st.integers(0, 1000)),
+        terrain_table={**draw(_weights), "grass": draw(st.floats(0.01, 1))},
+        recipes=draw(_recipes),
+        mining=draw(mining),
+        tool_tiers=tiers,
+        survival=draw(_survival),
+        modifications=tuple(draw(modifications)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(config=world_configs())
+def test_a_config_round_trips_through_json_text(config):
+    text = json.dumps(to_json(config), sort_keys=True, indent=2)
+    assert from_json(WorldConfig, json.loads(text)) == config
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_reset_lays_out_the_smallest_grid_and_one_less_is_rejected(config_id, tmp_path):
+    for seed in range(4):
+        config = make_config(config_id, seed=seed)
+        world = MarsWorld(dataclasses.replace(config, grid_size=MIN_GRID_SIZE))
+        placed = sum(row.count(block) for row in world.grid for block, _ in FORCED_BLOCKS)
+        assert placed >= sum(count for _, count in FORCED_BLOCKS)
+    # One less is too small for `reset`, which is why load rejects it.
+    too_small = make_config(config_id)
+    object.__setattr__(too_small, "grid_size", MIN_GRID_SIZE - 1)
+    with pytest.raises(IndexError):
+        MarsWorld(too_small)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({**to_json(make_config(config_id)), "grid_size": MIN_GRID_SIZE - 1}))
+    with pytest.raises(ValueError, match=rf"small.json: field 'grid_size' is {MIN_GRID_SIZE - 1}"):
+        load_config(str(path))
 
 
 # -- step semantics ------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from worldalign.core import Action, dumps_canonical
+from worldalign.core import Action, dumps_canonical, from_json, to_json
 from worldalign.dsl import format_shortfall, parse, parse_shortfall
 from worldalign.env import (
     CONFIG_IDS,
@@ -156,9 +156,9 @@ def _with_tool(data, path, tool):
     ("modifications", 0, "mining", "tree"),  # a modification's own rule
 ])
 def test_unknown_tool_tier_rejected_at_config_load(path):
-    data = _with_tool(make_config("taskdep").to_json(), path, "bronze_pickaxe")
+    data = _with_tool(to_json(make_config("taskdep")), path, "bronze_pickaxe")
     with pytest.raises(ValueError, match=rf"'{path[-1]}'.*'bronze_pickaxe'"):
-        WorldConfig.from_json(data)
+        from_json(WorldConfig, data)
 
 
 def test_unknown_tool_tier_rejected_when_constructed_directly():
