@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .core import Action, Observation, Outcome, Trajectory, Transition, has_tool_at_least
-from .dsl import EvalDiagnostics, parse_shortfall
+from .dsl import parse_shortfall
 from .env.config import (
     ACHIEVEMENTS,
     EffectiveTables,
@@ -49,21 +49,13 @@ class ActionProposer(Protocol):
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    action: Action
-    flag: bool
-    feedback: str
-    suggestion: str
-    replan_count: int
-
-
-@dataclass(frozen=True)
 class MpcResult:
     action: Action
     predicted: Outcome
     next_obs_estimate: Observation
     replan_count: int
-    steps: tuple[PlanStep, ...]
+    # every vetted candidate in order; the replan count of steps[i] is i + 1
+    steps: tuple[tuple[Action, MapExecuteResult], ...]
 
 
 def mpc_plan(
@@ -76,38 +68,28 @@ def mpc_plan(
     *,
     tables: EffectiveTables,
     replan_limit: int = 3,
-    diagnostics: EvalDiagnostics | None = None,
 ) -> MpcResult:
     """Propose/vet until a candidate passes the rules or the budget runs out."""
     if replan_limit < 1:
         raise ValueError("replan_limit must be >= 1")
     feedback: list[str] = []
     suggestions: list[str] = []
-    steps: list[PlanStep] = []
+    steps: list[tuple[Action, MapExecuteResult]] = []
     context = PlanningContext(kg, sg)
     asts = rules.rules
-    replan_count = 0
-    action: Action
-    result: MapExecuteResult
     while True:
         action = proposer.propose(obs, feedback, suggestions, context)
         base = wm.predict(obs, action)
-        result = map_execute(
-            asts, obs, action, base, kg, sg,
-            tables=tables, diagnostics=diagnostics,
-        )
-        replan_count += 1
-        steps.append(
-            PlanStep(action, result.flag, result.feedback, result.suggestion, replan_count)
-        )
-        if result.flag or replan_count >= replan_limit:
+        result = map_execute(asts, obs, action, base, kg, sg, tables=tables)
+        steps.append((action, result))
+        if result.flag or len(steps) >= replan_limit:
             break
         feedback.append(result.feedback)
         suggestions.append(result.suggestion)
     predicted = Outcome(
         result.flag, result.feedback, "" if result.flag else result.suggestion
     )
-    return MpcResult(action, predicted, result.next_obs, replan_count, tuple(steps))
+    return MpcResult(action, predicted, result.next_obs, len(steps), tuple(steps))
 
 
 # Secondary goals pursued once the primary chain product is crafted, for
@@ -747,7 +729,6 @@ def run_episode(
             state.kg, state.sg,
             tables=tables,
             replan_limit=components.replan_limit,
-            diagnostics=state.diagnostics,
         )
         next_obs, reward, done, outcome = world.step(plan.action)
         real.append(Transition(obs, plan.action, outcome, next_obs))

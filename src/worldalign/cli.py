@@ -33,12 +33,12 @@ from .experiments import (
     mean_std,
     run_ablation,
     run_learning_trial,
+    rule_proposer_seat,
     run_trials,
     standard_components,
 )
 from .graphs import KnowledgeGraph, SceneGraph
 from .learner import LearnerConfig, RuleSet, build_matrix, select_rules
-from .proposers import NoisyOracleProposer, OracleProposer
 from .world_model import BackendUnavailable
 
 
@@ -175,10 +175,7 @@ def cmd_ablate_limit(spec: ExperimentSpec, limits: list[int]) -> int:
 def cmd_coverage_curve(spec: ExperimentSpec) -> int:
     spec.validate()
     config = load_config(spec.config_id, seed=spec.seed)
-    if spec.proposer == "noisy":
-        proposer = NoisyOracleProposer(config, corruption=spec.noise, seed=spec.seed)
-    else:
-        proposer = OracleProposer(config)
+    proposer = rule_proposer_seat(spec.proposer, config, noise=spec.noise, seed=spec.seed)
     curve = coverage_curve(config, proposer, spec.iterations)
     doc = {
         "series": list(curve.series),

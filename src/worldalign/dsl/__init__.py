@@ -20,7 +20,6 @@ from .ast import (
     uses_graphs,
 )
 from .evaluate import (
-    EvalDiagnostics,
     JointVerdict,
     RuleVerdict,
     evaluate,
@@ -32,10 +31,10 @@ from .evaluate import (
 from .parser import ParseError, RuleTypeError, parse, parse_many
 
 __all__ = [
-    "And", "ArgCmp", "ArgRef", "EvalDiagnostics", "Expr", "HasToolAtLeast",
-    "InventoryAtLeast", "JointVerdict", "KgSatisfied", "Lit", "Membership",
-    "Not", "ObsCmp", "Or", "ParseError", "Polarity", "RuleAst",
-    "RuleTypeError", "RuleVerdict", "SgContains", "SgUnexplored", "evaluate",
-    "evaluate_all", "format_shortfall", "parse", "parse_many", "parse_shortfall",
-    "pretty_print", "render_template", "uses_graphs",
+    "And", "ArgCmp", "ArgRef", "Expr", "HasToolAtLeast", "InventoryAtLeast",
+    "JointVerdict", "KgSatisfied", "Lit", "Membership", "Not", "ObsCmp", "Or",
+    "ParseError", "Polarity", "RuleAst", "RuleTypeError", "RuleVerdict",
+    "SgContains", "SgUnexplored", "evaluate", "evaluate_all", "format_shortfall",
+    "parse", "parse_many", "parse_shortfall", "pretty_print", "render_template",
+    "uses_graphs",
 ]

@@ -2,14 +2,13 @@
 
 A rule whose guard does not match the action counts as success without
 activating.  An atom that cannot be resolved (unknown scene-graph location,
-missing action argument, unknown tool tier) deactivates the rule and bumps a
-diagnostic counter instead of faulting.
+missing action argument, unknown tool tier) deactivates the rule instead of
+faulting.
 """
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import Action, DEFAULT_TOOL_TIERS, Observation, has_tool_at_least
@@ -40,15 +39,6 @@ class RuleVerdict:
     flag: bool
     feedback: str = ""
     suggestion: str = ""
-
-
-@dataclass
-class EvalDiagnostics:
-    """Mutable counter bag owned by the caller.  Bounded by the number of
-    distinct rule ids, however long the run."""
-
-    unresolvable: int = 0
-    unresolvable_by_rule: Counter[str] = field(default_factory=Counter)
 
 
 class _Unresolvable(Exception):
@@ -185,7 +175,6 @@ def evaluate(
     sg: SceneGraph,
     *,
     tool_tiers: Sequence[str] = DEFAULT_TOOL_TIERS,
-    diagnostics: EvalDiagnostics | None = None,
 ) -> RuleVerdict:
     """Evaluate one rule.  Pure in its inputs; never raises on bad data."""
     if action.name != rule.action_guard:
@@ -194,9 +183,6 @@ def evaluate(
     try:
         condition = _eval(rule.condition, ctx)
     except _Unresolvable:
-        if diagnostics is not None:
-            diagnostics.unresolvable += 1
-            diagnostics.unresolvable_by_rule[rule.id] += 1
         return RuleVerdict(activated=False, flag=True)
     if rule.polarity is Polarity.FAIL_IF:
         flag = not condition
@@ -237,7 +223,6 @@ def evaluate_all(
     sg: SceneGraph,
     *,
     tool_tiers: Sequence[str] = DEFAULT_TOOL_TIERS,
-    diagnostics: EvalDiagnostics | None = None,
 ) -> JointVerdict:
     # Only guard-matched rules can activate; the rest would answer dormant.
     ordered = sorted(
@@ -248,9 +233,7 @@ def evaluate_all(
     feedback: list[str] = []
     suggestion: list[str] = []
     for rule in ordered:
-        verdict = evaluate(
-            rule, obs, action, kg, sg, tool_tiers=tool_tiers, diagnostics=diagnostics
-        )
+        verdict = evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers)
         if not verdict.activated:
             continue
         activated.append(rule.id)

@@ -173,6 +173,8 @@ class WorldConfig:
             raise ValueError("view must be (rows, cols)")
         if self.grid_size < MIN_GRID_SIZE:
             raise ValueError(f"field 'grid_size' is {self.grid_size}, below {MIN_GRID_SIZE}")
+        if self.max_steps < 1:
+            raise ValueError(f"field 'max_steps' is {self.max_steps}, below 1")
         if min(self.view) < 1:
             raise ValueError(f"field 'view' is {list(self.view)}; rows and cols must be >= 1")
         _at_least(0, terrain_table=self.terrain_table)

@@ -160,6 +160,27 @@ def coverage_curve(
     )
 
 
+def rule_proposer_seat(
+    kind: str, config: WorldConfig, *, noise: float, seed: int
+) -> Proposer | None:
+    """The rule/KG proposer of `kind` (oracle | noisy | backend | none); the
+    backend seat gets a `backend.CompletionClient` of its own."""
+    if kind == "oracle":
+        return OracleProposer(config)
+    if kind == "noisy":
+        return NoisyOracleProposer(config, corruption=noise, seed=seed)
+    if kind == "backend":
+        from .backend import CompletionClient, load_prompt
+        from .proposers import ExternalBackendProposer
+
+        return ExternalBackendProposer(
+            CompletionClient(), load_prompt("rule_induction"), load_prompt("kg_induction")
+        )
+    if kind == "none":
+        return None
+    raise ValueError(f"unknown rule proposer kind {kind!r}")
+
+
 ComponentBuilder = Callable[[WorldConfig], EpisodeComponents]
 EpisodeHook = Callable[[int, WorldConfig, EpisodeResult, LearnerState], None]
 
@@ -181,23 +202,7 @@ def standard_components(
     backend seats each get a `backend.CompletionClient` of their own."""
 
     def build(config: WorldConfig) -> EpisodeComponents:
-        proposer: Proposer | None
-        if rule_proposer_kind == "oracle":
-            proposer = OracleProposer(config)
-        elif rule_proposer_kind == "noisy":
-            proposer = NoisyOracleProposer(config, corruption=noise, seed=proposer_seed)
-        elif rule_proposer_kind == "backend":
-            from .backend import CompletionClient, load_prompt
-            from .proposers import ExternalBackendProposer
-
-            proposer = ExternalBackendProposer(
-                CompletionClient(), load_prompt("rule_induction"), load_prompt("kg_induction")
-            )
-        elif rule_proposer_kind == "none":
-            proposer = None
-        else:
-            raise ValueError(f"unknown rule proposer kind {rule_proposer_kind!r}")
-
+        proposer = rule_proposer_seat(rule_proposer_kind, config, noise=noise, seed=proposer_seed)
         if predictor_kind == "naive":
             predictor = NaivePrior(config)
         elif predictor_kind == "backend":

@@ -208,9 +208,6 @@ class SceneGraph(Memoised):
     def status_map(self) -> dict[str, str]:
         return dict(self.status)
 
-    def locations(self) -> list[str]:
-        return [loc for loc, _ in self.status]
-
     def to_json(self) -> dict:
         return {
             "vertices": sorted(self.vertices),

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .core import Memoised, Outcome, Trajectory, Transition, classify_transitions, require, to_json
 from .dsl import (
-    EvalDiagnostics,
     ParseError,
     Polarity,
     RuleAst,
@@ -221,7 +220,6 @@ class LearnerState(Memoised):
     iteration: int = 0
     last_trace: tuple[SelectionStep, ...] = ()
     coverage: CoverageMatrix = field(default_factory=CoverageMatrix)  # kept rules' rows
-    diagnostics: EvalDiagnostics = field(default_factory=EvalDiagnostics)
     validity: ValidityWatermark = field(default_factory=ValidityWatermark)
     _keys = None  # memo of misprediction_keys(): the set, and _extends's count and last pair
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .core import Action, Observation, Outcome, has_tool_at_least
-from .dsl import EvalDiagnostics, RuleAst, evaluate_all, format_shortfall
+from .dsl import RuleAst, evaluate_all, format_shortfall
 from .env.config import EffectiveTables, MAKEABLE, PLACEABLE, WorldConfig
 from .env.world import apply_effect
 from .graphs import KnowledgeGraph, SceneGraph
@@ -106,7 +106,6 @@ def map_execute(
     sg: SceneGraph,
     *,
     tables: EffectiveTables,
-    diagnostics: EvalDiagnostics | None = None,
 ) -> MapExecuteResult:
     """Check a base prediction against the rule set.
 
@@ -115,9 +114,7 @@ def map_execute(
     stands.  The next-observation estimate comes from the shared effect
     function applied to the final flag.
     """
-    joint = evaluate_all(
-        rules, obs, action, kg, sg, tool_tiers=tables.tool_tiers, diagnostics=diagnostics
-    )
+    joint = evaluate_all(rules, obs, action, kg, sg, tool_tiers=tables.tool_tiers)
     if joint.any_activated:
         flag = joint.flag
         feedback = joint.feedback if not flag else (joint.feedback or base.feedback)

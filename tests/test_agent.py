@@ -78,6 +78,10 @@ def test_replan_correction_pattern_missing_iron():
     assert result.replan_count == 2
     assert result.action.name == "mine"
     assert result.predicted.success
+    (first, vetoed), (second, accepted) = result.steps
+    assert first == Action("make", {"tool_name": "iron_pickaxe"})
+    assert not vetoed.flag and vetoed.failing == ("model",)
+    assert second == result.action and accepted.flag
 
 
 def test_replan_limit_returns_last_candidate_flagged():

@@ -89,11 +89,14 @@ def _config_file(tmp_path, edit):
     (lambda data: data.update(modifications=[
         {"kind": "terrain", "terrain_table": dict.fromkeys(data["terrain_table"], 0)}]),
      "terrain spawn weights must sum to a positive value, modified or not"),
+    (lambda data: data.update(max_steps=0), "field 'max_steps' is 0, below 1"),
+    (lambda data: data.update(max_steps=-3), "field 'max_steps' is -3, below 1"),
 ], ids=["missing_grid_size", "hostile_as_string", "not_json", "recipe_not_an_object",
         "modification_field_mistyped", "grid_size_2", "grid_size_one_below_the_least",
         "view_zero", "view_negative_rows", "negative_terrain_weight",
         "modification_negative_weight", "consumes_count_negative",
-        "requires_count_zero", "modified_weights_sum_to_zero"])
+        "requires_count_zero", "modified_weights_sum_to_zero", "max_steps_zero",
+        "max_steps_negative"])
 def test_simulate_rejects_a_malformed_config_file(tmp_path, capsys, edit, field):
     if edit is None:
         path = tmp_path / "config.json"

@@ -184,7 +184,7 @@ def world_configs(draw) -> WorldConfig:
         config_id=draw(_names),
         grid_size=draw(st.integers(MIN_GRID_SIZE, 64)),
         view=(draw(st.integers(1, 15)), draw(st.integers(1, 15))),
-        max_steps=draw(st.integers(0, 1000)),
+        max_steps=draw(st.integers(1, 1000)),
         terrain_table={**draw(_weights), "grass": draw(st.floats(0.01, 1))},
         recipes=draw(_recipes),
         mining=draw(mining),

@@ -2,6 +2,7 @@ import functools
 import itertools
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
-from worldalign.dsl import EvalDiagnostics, ParseError, RuleTypeError, evaluate, parse, pretty_print
+from worldalign.dsl import ParseError, RuleTypeError, evaluate, parse, pretty_print
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
@@ -761,15 +762,24 @@ GUARDED_POOL = (
 )
 
 
-def _reference_drop_invalid(rules, transitions, kg, sg, *, tool_tiers, watermark, diagnostics):
+def _counted_evaluate(rule, obs, action, kg, sg, *, tool_tiers, dormant):
+    """`evaluate`, adding one to `dormant[rule.id]` for each guard-matched
+    evaluation that comes back dormant; `dormant=None` counts nothing."""
+    verdict = evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers)
+    if dormant is not None and action.name == rule.action_guard and not verdict.activated:
+        dormant[rule.id] += 1
+    return verdict
+
+
+def _reference_drop_invalid(rules, transitions, kg, sg, *, tool_tiers, watermark, dormant):
     """`drop_invalid` as it was before the guard skip: every rule is
     evaluated on every transition past its watermark."""
     keep = []
     for entry in rules.entries:
         valid = True
         for t in transitions[watermark.get(entry.ast, 0):]:
-            verdict = evaluate(entry.ast, t.obs, t.action, kg, sg,
-                               tool_tiers=tool_tiers, diagnostics=diagnostics)
+            verdict = _counted_evaluate(entry.ast, t.obs, t.action, kg, sg,
+                                        tool_tiers=tool_tiers, dormant=dormant)
             asserted = learner.asserted_bit(entry.ast, verdict)
             if asserted is not None and asserted != t.outcome.success:
                 valid = False
@@ -782,20 +792,20 @@ def _reference_drop_invalid(rules, transitions, kg, sg, *, tool_tiers, watermark
     return RuleSet(tuple(keep))
 
 
-def _reference_coverage(rule, transition, predicted, kg, sg, *, tool_tiers, diagnostics):
+def _reference_coverage(rule, transition, predicted, kg, sg, *, tool_tiers, dormant):
     if predicted.success == transition.outcome.success:
         raise ValueError("coverage is defined over mispredicted transitions only")
-    verdict = evaluate(rule, transition.obs, transition.action, kg, sg,
-                       tool_tiers=tool_tiers, diagnostics=diagnostics)
+    verdict = _counted_evaluate(rule, transition.obs, transition.action, kg, sg,
+                                tool_tiers=tool_tiers, dormant=dormant)
     return learner.asserted_bit(rule, verdict) == transition.outcome.success
 
 
-def _reference_matrix(entries, mispredictions, kg, sg, *, tool_tiers, rows, diagnostics):
+def _reference_matrix(entries, mispredictions, kg, sg, *, tool_tiers, rows, dormant):
     for entry in entries:
         row = rows.get(entry.ast, ())
         rows[entry.ast] = row + tuple(
             _reference_coverage(entry.ast, t, predicted, kg, sg,
-                                tool_tiers=tool_tiers, diagnostics=diagnostics)
+                                tool_tiers=tool_tiers, dormant=dormant)
             for t, predicted in mispredictions[len(row):]
         )
     return CoverageMatrix(
@@ -805,13 +815,13 @@ def _reference_matrix(entries, mispredictions, kg, sg, *, tool_tiers, rows, diag
     )
 
 
-def _reference_cover_rate(rules, mispredictions, kg, sg, *, tool_tiers, diagnostics):
+def _reference_cover_rate(rules, mispredictions, kg, sg, *, tool_tiers, dormant):
     if not mispredictions:
         return learner.CoverRate(0.0, defined=False)
     hits = sum(
         1 for t, predicted in mispredictions
         if any(_reference_coverage(e.ast, t, predicted, kg, sg,
-                                   tool_tiers=tool_tiers, diagnostics=diagnostics)
+                                   tool_tiers=tool_tiers, dormant=dormant)
                for e in rules.entries)
     )
     return learner.CoverRate(hits / len(mispredictions), defined=True)
@@ -838,8 +848,9 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
 ):
     """`drop_invalid` (fresh and from a watermark), `build_matrix` (fresh and
     from kept rows), `coverage` and `cover_rate` equal references that
-    evaluate every (rule, transition) pair, with the same diagnostics, and
-    never evaluate a rule on an action its guard does not match."""
+    evaluate every (rule, transition) pair, with the same count of dormant
+    guard-matched evaluations per rule, and never evaluate a rule on an
+    action its guard does not match."""
     (real, _), locations = _differential_probe()
     rules = RuleSet(tuple(_mask(rule_bits, [_entry(t) for t in GUARDED_POOL])))
     known = [e.ast for e in _mask(known_bits, rules.entries)]
@@ -850,11 +861,11 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
     sg = SceneGraph.initial(locations)
     if obs_index < len(DIFFERENTIAL_OBS):
         sg = sg_update(sg, DIFFERENTIAL_OBS[obs_index])
-    fast, slow = EvalDiagnostics(), EvalDiagnostics()
+    fast, slow = Counter(), Counter()
 
     def guard_matched(rule, obs, action, kg, sg, *, tool_tiers):
         assert action.name == rule.action_guard
-        return evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers, diagnostics=fast)
+        return _counted_evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers, dormant=fast)
 
     with mock.patch.object(learner, "evaluate", guard_matched):
         for start in (0, prefix):
@@ -864,7 +875,7 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
                 rules, history, kg, sg, tool_tiers=tiers, watermark=watermark
             ) == _reference_drop_invalid(
                 rules, history, kg, sg, tool_tiers=tiers,
-                watermark=expected_watermark, diagnostics=slow,
+                watermark=expected_watermark, dormant=slow,
             )
             assert watermark == expected_watermark
         for rows_from in (None, prefix):
@@ -872,19 +883,19 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
             if rows_from is not None:
                 lead = mispredictions[:rows_from]
                 _reference_matrix(_mask(known_bits, rules.entries), lead, kg, sg,
-                                  tool_tiers=tiers, rows=rows, diagnostics=None)
+                                  tool_tiers=tiers, rows=rows, dormant=None)
                 expected_rows = dict(rows)
             assert learner.build_matrix(
                 rules.entries, mispredictions, kg, sg, tool_tiers=tiers, rows=rows
             ) == _reference_matrix(
                 rules.entries, mispredictions, kg, sg, tool_tiers=tiers,
-                rows=expected_rows, diagnostics=slow,
+                rows=expected_rows, dormant=slow,
             )
             assert rows == expected_rows
         assert cover_rate(
             rules, mispredictions, kg, sg, tool_tiers=tiers
         ) == _reference_cover_rate(
-            rules, mispredictions, kg, sg, tool_tiers=tiers, diagnostics=slow
+            rules, mispredictions, kg, sg, tool_tiers=tiers, dormant=slow
         )
         for t, p in zip(history, predicted):  # correct predictions raise too
             for entry in rules.entries:
@@ -892,7 +903,7 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
                     lambda: coverage(entry.ast, t, p, kg, sg, tool_tiers=tiers)
                 ) == _raised(
                     lambda: _reference_coverage(entry.ast, t, p, kg, sg,
-                                                tool_tiers=tiers, diagnostics=slow)
+                                                tool_tiers=tiers, dormant=slow)
                 )
     assert fast == slow
 
