@@ -455,14 +455,29 @@ def test_template_placeholders_resolve_from_kg():
     assert "furnace: must be nearby" in verdict.suggestion
 
 
-def test_unknown_location_or_tool_tier_deactivates_the_rule():
+def test_unresolvable_sg_atom_deactivates_with_diagnostic():
+    # The deactivated verdict is the whole diagnostic: evaluate keeps no counter.
+    rule = parse('RULE s FOR explore: FAIL IF sg_unexplored("cave")')
+    verdict = evaluate(rule, make_obs(), Action("explore", {"direction": "north", "steps": 1}),
+                       KnowledgeGraph.empty(), SceneGraph.initial(["grass"]))
+    assert verdict == RuleVerdict(activated=False, flag=True)
+
+
+def test_unresolvable_counts_are_keyed_by_rule_id():
+    # Unresolvable rules drop out of the joint verdict by id, the same on every call.
     cave = parse('RULE s FOR explore: FAIL IF sg_unexplored("cave")')
     laser = parse('RULE t FOR explore: FAIL IF has_tool_at_least("laser_pickaxe")')
+    grass = parse('RULE u FOR explore: FAIL IF sg_unexplored("grass")')
     action = Action("explore", {"direction": "north", "steps": 1})
+    sg = SceneGraph.initial(["grass"])
     for rule in (cave, laser):
-        verdict = evaluate(rule, make_obs(), action, KnowledgeGraph.empty(),
-                           SceneGraph.initial(["grass"]))
-        assert verdict == RuleVerdict(activated=False, flag=True)
+        assert evaluate(rule, make_obs(), action, KnowledgeGraph.empty(), sg) == \
+            RuleVerdict(activated=False, flag=True)
+    joints = {evaluate_all([cave, laser, grass], make_obs(), action,
+                           KnowledgeGraph.empty(), sg) for _ in range(50)}
+    assert len(joints) == 1
+    (joint,) = joints
+    assert joint.activated_ids == ("u",)
 
 
 @pytest.mark.parametrize("text, reads", [
