@@ -32,19 +32,13 @@ from .proposers import Proposer
 from .world_model import BackendUnavailable, BasePredictor, MapExecuteResult, map_execute
 
 
-@dataclass(frozen=True)
-class PlanningContext:
-    kg: KnowledgeGraph
-    sg: SceneGraph
-
-
 class ActionProposer(Protocol):
     def propose(
         self,
         obs: Observation,
         feedback: list[str],
         suggestions: list[str],
-        context: PlanningContext,
+        kg: KnowledgeGraph,
     ) -> Action: ...
 
 
@@ -75,10 +69,9 @@ def mpc_plan(
     feedback: list[str] = []
     suggestions: list[str] = []
     steps: list[tuple[Action, MapExecuteResult]] = []
-    context = PlanningContext(kg, sg)
     asts = rules.rules
     while True:
-        action = proposer.propose(obs, feedback, suggestions, context)
+        action = proposer.propose(obs, feedback, suggestions, kg)
         base = wm.predict(obs, action)
         result = map_execute(asts, obs, action, base, kg, sg, tables=tables)
         steps.append((action, result))
@@ -194,13 +187,13 @@ class ScriptedPlanner:
         obs: Observation,
         feedback: list[str],
         suggestions: list[str],
-        context: PlanningContext,
+        kg: KnowledgeGraph,
     ) -> Action:
         if not feedback:
-            action = self._decide(obs, context.kg)
+            action = self._decide(obs, kg)
             self._last_desired = action
             return action
-        return self._handle_veto(obs, context.kg, feedback[-1], suggestions[-1])
+        return self._handle_veto(obs, kg, feedback[-1], suggestions[-1])
 
     def observe_result(self, action: Action, outcome: Outcome, next_obs: Observation) -> None:
         key = self._key(action)
@@ -619,7 +612,7 @@ class ExternalBackendPlanner:
         obs: Observation,
         feedback: list[str],
         suggestions: list[str],
-        context: PlanningContext,
+        kg: KnowledgeGraph,
     ) -> Action:
         prompt = self.prompt_template.format(
             observation=json.dumps(obs.to_json(), indent=1),

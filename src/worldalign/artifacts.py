@@ -5,12 +5,12 @@ and is written to a temporary file in the same directory and moved into
 place, so a process that dies mid-write leaves no part of a file (an
 operating-system crash may: nothing is fsynced).  Each kind of file has one
 parser, which is also its schema: the typed readers (`RuleSet`,
-`KnowledgeGraph`, `SceneGraph`, `Trajectory`) and, for the kinds without a
-type, the renderers below.  Both raise ValueError naming the place and the
-field; the readers here and `inspect_path` turn it into a SchemaError
-naming the file, never a traceback.  `inspect_path` parses a trajectory's
-head and step lines but not its observations; `read_trajectory` parses
-them too.
+`KnowledgeGraph`, `SceneGraph`, `Trajectory`, `CurveResult`) and, for the
+kinds without a type, the renderers below.  Both raise ValueError naming
+the place and the field; the readers here and `inspect_path` turn it into a
+SchemaError naming the file, never a traceback.  `inspect_path` parses a
+trajectory's head and step lines but not its observations;
+`read_trajectory` parses them too.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core import NUMBER, Trajectory, from_json, parse_ndjson, require
+from .experiments import CurveResult
 from .graphs import KnowledgeGraph, SceneGraph
 from .learner import RuleSet, SelectionStep
 
@@ -203,15 +204,12 @@ def render_ablation(data: dict) -> str:
     return "\n".join(lines)
 
 
-def render_curve(data: dict) -> str:
-    series = require(data, "series", types=list)
-    if not all(isinstance(value, NUMBER) for value in series):
-        raise ValueError("field 'series' is not an array of numbers")
-    lines = [f"cover rate over {len(series) - 1} learning iterations "
-             f"({data.get('misprediction_count', '?')} frozen mispredictions):"]
-    if data.get("defined") is False:
+def render_curve(curve: CurveResult) -> str:
+    lines = [f"cover rate over {len(curve.series) - 1} learning iterations "
+             f"({curve.misprediction_count} frozen mispredictions):"]
+    if not curve.defined:
         lines.append("  (no mispredictions: flagged zero)")
-    for i, value in enumerate(series):
+    for i, value in enumerate(curve.series):
         bar = "#" * int(round(value * 40))
         lines.append(f"  iter {i:<3} {value:6.3f} {bar}")
     return "\n".join(lines)
@@ -245,7 +243,7 @@ def _render_json(data) -> str:
     if "arms" in data:
         return render_ablation(data)
     if "series" in data:
-        return render_curve(data)
+        return render_curve(from_json(CurveResult, data))
     if "edges" in data and ("status" in data or "vertices" in data):
         return render_sg(SceneGraph.from_json(data))
     if "edges" in data:

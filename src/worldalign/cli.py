@@ -19,7 +19,7 @@ from . import __version__
 # but benchmark/workloads.py wraps `cli.run_episode` when it installs its hooks.
 from .agent import run_episode, score
 from .artifacts import inspect_path, read_kg, read_rules, read_trajectory, write_json, write_text
-from .core import DEFAULT_TOOL_TIERS, classify_transitions
+from .core import DEFAULT_TOOL_TIERS, classify_transitions, to_json
 from .env.config import (
     ACHIEVEMENTS,
     TARGET_CHAIN_ACHIEVEMENT,
@@ -177,18 +177,12 @@ def cmd_coverage_curve(spec: ExperimentSpec) -> int:
     config = load_config(spec.config_id, seed=spec.seed)
     proposer = rule_proposer_seat(spec.proposer, config, noise=spec.noise, seed=spec.seed)
     curve = coverage_curve(config, proposer, spec.iterations)
-    doc = {
-        "series": list(curve.series),
-        "defined": curve.defined,
-        "misprediction_count": curve.misprediction_count,
-        "final_rules": list(curve.final_rule_ids),
-    }
     out = Path(spec.out)
     write_json(out / "manifest.json", {
         "version": __version__,
         "spec": spec.to_json(COMMAND_FIELDS["coverage-curve"]),
     })
-    write_json(out / "curve.json", doc)
+    write_json(out / "curve.json", to_json(curve))
     print(inspect_path(out / "curve.json"))
     return 0
 

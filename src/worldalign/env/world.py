@@ -16,8 +16,6 @@ from ..core import (
     Observation,
     Outcome,
     Status,
-    Transition,
-    Trajectory,
     VisibleObject,
     VisibleObjectPool,
     has_tool_at_least,
@@ -498,18 +496,3 @@ def apply_effect(
         status=status,
         inventory=inventory,
     )
-
-
-def replay(config: WorldConfig, actions: list[Action]) -> tuple[MarsWorld, Trajectory]:
-    """Rebuild a world by replaying actions from reset; used by determinism
-    tests."""
-    world = MarsWorld(config)
-    obs = world.observe()
-    transitions = []
-    for action in actions:
-        next_obs, _, done, outcome = world.step(action)
-        transitions.append(Transition(obs, action, outcome, next_obs))
-        obs = next_obs
-        if done:
-            break
-    return world, Trajectory(tuple(transitions), config.seed, config.config_id)

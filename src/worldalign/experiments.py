@@ -10,15 +10,15 @@ import logging
 import multiprocessing
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
 from .agent import EpisodeComponents, EpisodeResult, ScriptedPlanner, run_episode
-from .core import Action, Observation, Trajectory, Transition, classify_transitions
+from .core import Action, Observation, Trajectory, classify_transitions
 from .env.config import TARGET_CHAIN_ACHIEVEMENT, WorldConfig
-from .env.world import DIR_DELTAS, WALKABLE, MarsWorld, apply_effect
-from .graphs import SceneGraph
+from .env.world import DIR_DELTAS, WALKABLE, MarsWorld
+from .graphs import KnowledgeGraph, SceneGraph
 from .learner import WINDOW, LearnerConfig, LearnerState, cover_rate, ns_learning
 from .proposers import NoisyOracleProposer, OracleProposer, Proposer
 from .world_model import BasePredictor, NaivePrior
@@ -31,9 +31,16 @@ class ProbePolicy:
     """Survey script that deliberately mixes sound and doomed actions so a
     context-blind predictor accumulates mispredictions.  New failure kinds
     come online phase by phase, which is what makes learning curves rise
-    stepwise instead of jumping.  A phase lasts one induction window."""
+    stepwise instead of jumping.  A phase lasts one induction window.  As a
+    planner seat it ignores vetoes and the KG: run it with a replan limit of
+    one, so that each call is one environment step."""
 
-    def action(self, step: int, obs: Observation) -> Action:
+    def __init__(self) -> None:
+        self._step = 0
+
+    def propose(self, obs: Observation, feedback: list[str], suggestions: list[str],
+                kg: KnowledgeGraph) -> Action:
+        step, self._step = self._step, self._step + 1
         phase = min(step // WINDOW, 4)
         slot = step % 4
         if phase == 0:
@@ -99,25 +106,16 @@ class ProbePolicy:
 def run_probe(
     config: WorldConfig, predictor: BasePredictor, steps: int
 ) -> tuple[Trajectory, Trajectory]:
-    """Roll the probe policy, recording real and predicted trajectories."""
-    world = MarsWorld(config)
-    policy = ProbePolicy()
-    tables = config.base_tables()  # what an unaligned predictor believes
-    obs = world.observe()
-    real: list[Transition] = []
-    predicted: list[Transition] = []
-    for step in range(steps):
-        action = policy.action(step, obs)
-        base = predictor.predict(obs, action)
-        estimate = apply_effect(obs, action, base.success, tables)
-        next_obs, _, done, outcome = world.step(action)
-        real.append(Transition(obs, action, outcome, next_obs))
-        predicted.append(Transition(obs, action, base, estimate))
-        obs = next_obs
-        if done:
-            break
-    meta = (config.seed, config.config_id)
-    return Trajectory(tuple(real), *meta), Trajectory(tuple(predicted), *meta)
+    """Roll the probe policy, recording real and predicted trajectories.  With
+    no rules, the MPC loop passes the predictor's outcome and its table
+    estimate through unchanged."""
+    if steps < 1:
+        return (Trajectory((), config.seed, config.config_id),) * 2
+    result = run_episode(
+        replace(config, max_steps=min(config.max_steps, steps)), LearnerState(),
+        EpisodeComponents(predictor, ProbePolicy(), replan_limit=1), target=None,
+    )
+    return result.real, result.predicted
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ class CurveResult:
     series: tuple[float, ...]  # index 0 = before any learning
     defined: bool  # False when the frozen misprediction set was empty
     misprediction_count: int
-    final_rule_ids: tuple[str, ...]
+    final_rules: tuple[str, ...]
 
 
 def coverage_curve(
@@ -156,7 +154,7 @@ def coverage_curve(
         series=tuple(series),
         defined=bool(frozen),
         misprediction_count=len(frozen),
-        final_rule_ids=tuple(e.id for e in state.rules.entries),
+        final_rules=tuple(e.id for e in state.rules.entries),
     )
 
 

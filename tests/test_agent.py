@@ -6,17 +6,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign.agent import (
     EpisodeComponents,
-    PlanningContext,
     ScriptedPlanner,
     _ViewMap,
     mpc_plan,
     run_episode,
     score,
 )
-from worldalign.core import Action
+from worldalign.core import Action, Trajectory, Transition
 from worldalign.dsl import parse
 from worldalign.env import CONFIG_IDS, MarsWorld, make_config
-from worldalign.env.world import DIR_DELTAS, WALKABLE
+from worldalign.env.world import DIR_DELTAS, WALKABLE, apply_effect
+from worldalign.experiments import ProbePolicy, run_probe
 from worldalign.graphs import KnowledgeGraph, SceneGraph, KgEdge, kg_merge
 from worldalign.learner import LearnerConfig, LearnerState, RuleEntry, RuleSet
 from worldalign.proposers import OracleProposer
@@ -32,7 +32,7 @@ class QueueProposer:
         self.actions = list(actions)
         self.seen_feedback: list[list[str]] = []
 
-    def propose(self, obs, feedback, suggestions, context):
+    def propose(self, obs, feedback, suggestions, kg):
         self.seen_feedback.append(list(feedback))
         if len(self.actions) > 1:
             return self.actions.pop(0)
@@ -67,7 +67,7 @@ def test_replan_correction_pattern_missing_iron():
     obs = make_obs(near=("iron",), inventory={"wood_pickaxe": 1, "stone_pickaxe": 1})
 
     class CorrectingProposer:
-        def propose(self, obs, feedback, suggestions, context):
+        def propose(self, obs, feedback, suggestions, kg):
             if suggestions and "iron" in suggestions[-1]:
                 return Action("mine", {"block_name": "iron", "amount": 1})
             return Action("make", {"tool_name": "iron_pickaxe"})
@@ -190,11 +190,11 @@ def test_proposer_failure_propagates_from_episode():
     class FlakyPlanner(ScriptedPlanner):
         calls = 0
 
-        def propose(self, obs, feedback, suggestions, context):
+        def propose(self, obs, feedback, suggestions, kg):
             FlakyPlanner.calls += 1
             if FlakyPlanner.calls > 5:
                 raise BackendUnavailable("backend down")
-            return super().propose(obs, feedback, suggestions, context)
+            return super().propose(obs, feedback, suggestions, kg)
 
     components = EpisodeComponents(
         predictor=NaivePrior(config),
@@ -216,6 +216,41 @@ def test_coverage_curve_with_aligned_predictor_is_flagged_zeros(monkeypatch):
     curve = experiments.coverage_curve(config, OracleProposer(config), iterations=2)
     assert not curve.defined
     assert all(v == 0.0 for v in curve.series)
+
+
+def _reference_probe(config, predictor, steps):
+    """The probe's own act-and-record loop, as it stood before the probe
+    ran through `run_episode`: the base prediction and its table estimate
+    are recorded as they are."""
+    world = MarsWorld(config)
+    policy = ProbePolicy()
+    tables = config.base_tables()
+    obs = world.observe()
+    real, predicted = [], []
+    for _ in range(steps):
+        action = policy.propose(obs, [], [], KnowledgeGraph.empty())
+        base = predictor.predict(obs, action)
+        estimate = apply_effect(obs, action, base.success, tables)
+        next_obs, _, done, outcome = world.step(action)
+        real.append(Transition(obs, action, outcome, next_obs))
+        predicted.append(Transition(obs, action, base, estimate))
+        obs = next_obs
+        if done:
+            break
+    meta = (config.seed, config.config_id)
+    return Trajectory(tuple(real), *meta), Trajectory(tuple(predicted), *meta)
+
+
+@settings(deadline=None, max_examples=30)
+@given(config_id=st.sampled_from(CONFIG_IDS), seed=st.integers(0, 50), steps=st.integers(0, 500))
+@example(config_id="default", seed=0, steps=0)
+@example(config_id="default", seed=0, steps=500)  # past max_steps
+def test_probe_through_the_episode_loop_records_what_its_own_loop_did(config_id, seed, steps):
+    config = make_config(config_id, seed=seed)
+    real, predicted = run_probe(config, NaivePrior(config), steps)
+    ref_real, ref_predicted = _reference_probe(config, NaivePrior(config), steps)
+    assert real.to_ndjson() == ref_real.to_ndjson()
+    assert predicted.to_ndjson(real) == ref_predicted.to_ndjson(ref_real)
 
 
 # -- one view map per observation ------------------------------------------------
@@ -242,7 +277,7 @@ def test_memoised_view_map_proposes_like_a_fresh_one(config_id, seed, vetoes):
     config = make_config(config_id, seed=seed)
     world = MarsWorld(config)
     memo, fresh = ScriptedPlanner(config), ScriptedPlanner(config)
-    context = PlanningContext(KnowledgeGraph.empty(), SceneGraph.initial(world.locations()))
+    kg = KnowledgeGraph.empty()
     obs = world.observe()
     for step_vetoes in vetoes:
         feedback: list[str] = []
@@ -252,8 +287,8 @@ def test_memoised_view_map_proposes_like_a_fresh_one(config_id, seed, vetoes):
                 feedback.append(_VETOES[veto][0])
                 suggestions.append(_VETOES[veto][1])
             fresh._view = None
-            action = memo.propose(obs, list(feedback), list(suggestions), context)
-            assert fresh.propose(obs, list(feedback), list(suggestions), context) == action
+            action = memo.propose(obs, list(feedback), list(suggestions), kg)
+            assert fresh.propose(obs, list(feedback), list(suggestions), kg) == action
         next_obs, _, done, outcome = world.step(action)
         memo.observe_result(action, outcome, next_obs)
         fresh.observe_result(action, outcome, next_obs)

@@ -253,6 +253,11 @@ MALFORMED = {
         "rows.json", lambda: json.dumps([{"trial": 0, "reward": "1.0"}]),
         "row 0: field 'reward' has the wrong type (str)",
     ),
+    "curve_without_defined": (
+        "curve.json",
+        lambda: json.dumps({"series": [0.0], "misprediction_count": 0, "final_rules": []}),
+        "missing field 'defined'",
+    ),
     "achievement_step_is_a_string": (
         "metrics.json", lambda: json.dumps({"reward": 1.0, "achievements": {"a": 1, "b": "x"}}),
         "achievements: field 'b' has the wrong type (str)",

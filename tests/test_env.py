@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from worldalign.agent import EpisodeComponents, run_episode
 from worldalign.core import Action, Observation, VisibleObject, from_json, to_json
 from worldalign.dsl import parse
 from worldalign.env import (
@@ -24,12 +25,13 @@ from worldalign.env import (
     kg_edges_for_config,
     load_config,
     make_config,
-    replay,
     rules_for_config,
 )
 from worldalign.env.config import MIN_GRID_SIZE
 from worldalign.env.world import CREATURE_SPAWNS, FORCED_BLOCKS
 from worldalign.experiments import run_learning_trial, standard_components
+from worldalign.learner import LearnerState
+from worldalign.world_model import NaivePrior
 
 GOLDEN = Path(__file__).parent / "data" / "reset_seed7.json"
 
@@ -296,6 +298,24 @@ def test_explore_reports_blocked_but_succeeds():
 
 # -- determinism / conservation ----------------------------------------------
 
+class _Script:
+    """Planner seat that proposes the next scripted action, whatever the veto."""
+
+    def __init__(self, actions):
+        self._actions = iter(actions)
+
+    def propose(self, obs, feedback, suggestions, kg):
+        return next(self._actions)
+
+
+def _record(config, actions):
+    """The real trajectory of `actions` played from reset, as the episode
+    loop records it."""
+    components = EpisodeComponents(NaivePrior(config), _Script(actions), replan_limit=1)
+    config = dataclasses.replace(config, max_steps=min(config.max_steps, len(actions)))
+    return run_episode(config, LearnerState(), components, target=None).real
+
+
 def test_identical_action_sequences_replay_bit_for_bit():
     config = make_config("survival", seed=9)
     actions = [
@@ -304,15 +324,15 @@ def test_identical_action_sequences_replay_bit_for_bit():
         Action("sleep", {}),
         Action("explore", {"direction": "south", "steps": 2}),
     ] * 10
-    _, first = replay(config, actions)
-    _, second = replay(config, actions)
+    first = _record(config, actions)
+    second = _record(config, actions)
     assert first.to_ndjson() == second.to_ndjson()
 
 
 def test_trajectory_chain_holds_after_every_step():
     config = make_config("default", seed=2)
     actions = [Action("explore", {"direction": "east", "steps": 1})] * 30
-    _, trajectory = replay(config, actions)
+    trajectory = _record(config, actions)
     trajectory.validate_chain()
 
 

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from worldalign.agent import ExternalBackendPlanner, PlanningContext
+from worldalign.agent import ExternalBackendPlanner
 from worldalign.backend import CompletionClient, ENV_URL, load_prompt
 from worldalign.core import Action, Outcome, Transition
 from worldalign.env import CONFIG_IDS, kg_edges_for_config, make_config
-from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph
+from worldalign.graphs import KgEdge, KnowledgeGraph
 from worldalign.proposers import (
     ExternalBackendProposer,
     NoisyOracleProposer,
@@ -106,7 +106,7 @@ def test_backend_planner_parses_action_call():
     planner = ExternalBackendPlanner(
         FakeClient(['mine(block_name="tree", amount=2)']), load_prompt("action_proposal")
     )
-    action = planner.propose(make_obs(), [], [], PlanningContext(KnowledgeGraph.empty(), SceneGraph()))
+    action = planner.propose(make_obs(), [], [], KnowledgeGraph.empty())
     assert action == Action("mine", {"block_name": "tree", "amount": 2})
 
 
@@ -115,9 +115,7 @@ def test_backend_planner_rejects_nonsense():
     for reply in ("dance wildly", "  \n ", "mine(block_name=tree, amount=²)"):
         planner = ExternalBackendPlanner(FakeClient([reply]), load_prompt("action_proposal"))
         with pytest.raises(BackendUnavailable):
-            planner.propose(
-                make_obs(), [], [], PlanningContext(KnowledgeGraph.empty(), SceneGraph())
-            )
+            planner.propose(make_obs(), [], [], KnowledgeGraph.empty())
 
 
 def test_noisy_oracle_is_deterministic_per_seed():
