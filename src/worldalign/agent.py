@@ -164,7 +164,6 @@ class ScriptedPlanner:
 
     def __init__(self, config: WorldConfig, target: str = "iron_pickaxe"):
         self.beliefs = config.base_tables()
-        self.target = target
         self.goals: tuple[str, ...] = (target,) + tuple(
             g for g in _BONUS_GOALS if g != target
         )
@@ -696,6 +695,8 @@ def run_episode(
     per the configured cadence.  A backend seat's failure propagates as
     BackendUnavailable; partial learning progress stays in the state.
     """
+    if components.cadence not in ("episode", "step"):
+        raise ValueError(f"unknown cadence {components.cadence!r}; 'episode' or 'step'")
     world = MarsWorld(config)
     tables = config.base_tables()  # the agent's belief: map_execute's effect tables
     if not state.sg.status:

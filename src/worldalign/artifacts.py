@@ -163,7 +163,7 @@ def render_kg(kg: KnowledgeGraph) -> str:
 
 def render_sg(sg: SceneGraph) -> str:
     lines = [f"scene graph: {len(sg.status)} locations, {len(sg.edges)} edges"]
-    for loc, st in sg.status:
+    for loc, st in sg.status.items():
         lines.append(f"  {loc:<14} {st}")
     for u, v, rel in sg.edges:
         lines.append(f"  {u} -[{rel}]-> {v}")

@@ -37,6 +37,7 @@ from .ast import (
 class RuleVerdict:
     activated: bool
     flag: bool
+    asserted: bool | None = None  # the success bit the rule claims; None where it claims none
     feedback: str = ""
     suggestion: str = ""
 
@@ -110,10 +111,10 @@ def _eval(expr: Expr, ctx: _Context) -> bool:
             raise _Unresolvable(f"unknown location {expr.location!r}")
         return expr.location in sg_locate(ctx.sg, expr.item)
     if isinstance(expr, SgUnexplored):
-        status = ctx.sg.status_map()
-        if expr.location not in status:
+        status = ctx.sg.status.get(expr.location)
+        if status is None:
             raise _Unresolvable(f"unknown location {expr.location!r}")
-        return status[expr.location] == UNEXPLORED
+        return status == UNEXPLORED
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -184,16 +185,17 @@ def evaluate(
         condition = _eval(rule.condition, ctx)
     except _Unresolvable:
         return RuleVerdict(activated=False, flag=True)
-    if rule.polarity is Polarity.FAIL_IF:
-        flag = not condition
-    else:
-        flag = condition
+    fail_if = rule.polarity is Polarity.FAIL_IF
+    flag = not condition if fail_if else condition
     if flag:
-        return RuleVerdict(activated=True, flag=True)
+        # A FAIL IF rule claims a bit only when its condition fires; a
+        # SUCCEED ONLY IF rule models its action completely.
+        return RuleVerdict(activated=True, flag=True, asserted=None if fail_if else True)
     binds = _bindings(rule, ctx)
     return RuleVerdict(
         activated=True,
         flag=False,
+        asserted=False,
         feedback=render_template(rule.feedback_template, binds),
         suggestion=render_template(rule.suggestion_template, binds),
     )

@@ -57,27 +57,22 @@ class RuleTypeError(ValueError):
 # Python's recursion limit; the shipped rules nest at most 4 deep.
 MAX_NESTING = 32
 
-_KEYWORDS = {
-    "RULE", "FOR", "FAIL", "IF", "SUCCEED", "ONLY", "NOT", "AND", "OR",
-    "FEEDBACK", "SUGGEST", "in", "near_objects", "visible_objects",
-    "inventory", "obs", "action", "args", "has_tool_at_least", "kg_requires",
-    "satisfied_by", "sg_contains", "sg_unexplored",
-}
-# One alternative per token kind, tried in order at each position.
+# One alternative per token kind, tried in order at each position.  Every
+# word is an IDENT; the parser matches a keyword by its text.
 _TOKEN = re.compile(r"""
     (?P<NEWLINE> \n )
   | (?P<SPACE> [ \t\r]+ )
   | (?P<STRING> " (?: \\[\s\S] | [^"\\\n] )* " )  # a backslash escapes any character
   | (?P<PUNCT> [=!<>]= | [<>()\[\]:,.] )
   | (?P<INT> -?\d+ )  # decimal digits only: "²" is a digit to isdigit(), not to int()
-  | (?P<WORD> \w+ )   # a word starts with a letter or "_", checked in _tokenize
+  | (?P<IDENT> \w+ )  # a word starts with a letter or "_", checked in _tokenize
 """, re.VERBOSE)
 _ESCAPE = re.compile(r"\\([\s\S])")
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # KEYWORD | IDENT | STRING | INT | punctuation literal | EOF
+    kind: str  # IDENT | STRING | INT | punctuation literal | EOF
     text: str
     line: int
     col: int
@@ -89,7 +84,7 @@ def _tokenize(source: str) -> list[Token]:
     while pos < len(source):
         match = _TOKEN.match(source, pos)
         kind = match and match.lastgroup
-        if kind is None or kind == "WORD" and not (source[pos].isalpha() or source[pos] == "_"):
+        if kind is None or kind == "IDENT" and not (source[pos].isalpha() or source[pos] == "_"):
             if source[pos] == '"':
                 raise ParseError("unterminated string", line, col)
             raise ParseError(f"unexpected character {source[pos]!r}", line, col)
@@ -98,8 +93,6 @@ def _tokenize(source: str) -> list[Token]:
             line, col = line + 1, 0  # the column step below lands on 1
         elif kind == "STRING":
             tokens.append(Token(kind, _ESCAPE.sub(r"\1", text[1:-1]), line, col))
-        elif kind == "WORD":
-            tokens.append(Token("KEYWORD" if text in _KEYWORDS else "IDENT", text, line, col))
         elif kind != "SPACE":
             tokens.append(Token(text if kind == "PUNCT" else kind, text, line, col))
         col, pos = col + len(text), match.end()
@@ -147,7 +140,7 @@ class _Parser:
     def rule(self) -> RuleAst:
         self.expect("RULE")
         name = self.advance()
-        if name.kind not in ("IDENT", "KEYWORD"):
+        if name.kind != "IDENT":
             raise ParseError("rule id must be an identifier", name.line, name.col, ("IDENT",))
         self.expect("FOR")
         guard = self.name()

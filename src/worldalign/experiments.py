@@ -348,6 +348,8 @@ def run_ablation(
         raise ValueError("limits must be non-empty")
     if any(l < 1 for l in limits):
         raise ValueError("rule limits must be >= 1")
+    if len(set(limits)) != len(limits):
+        raise ValueError(f"rule limits must not repeat: {list(limits)}")
     arms = ablation_arms(limits)
     calls = [
         (base_config, arm, seed, iterations, noise, replan_limit)

@@ -10,7 +10,7 @@ Proposer seats hand over typed `KgEdge`s; edge JSON is parsed only by
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -171,7 +171,7 @@ def kg_induce(window: Sequence[Transition], proposer) -> tuple[KgEdge, ...]:
 class SceneGraph(Memoised):
     vertices: frozenset[str] = frozenset()
     edges: tuple[tuple[str, str, str], ...] = ()  # (u, v, relation)
-    status: tuple[tuple[str, str], ...] = ()  # (location, Explored|Unexplored)
+    status: dict[str, str] = field(default_factory=dict)  # location -> Explored|Unexplored
     _memo = None  # memo of _unchanged_kinds()
 
     @staticmethod
@@ -179,7 +179,7 @@ class SceneGraph(Memoised):
         return SceneGraph(
             vertices=frozenset(locations),
             edges=(),
-            status=tuple((loc, UNEXPLORED) for loc in locations),
+            status=dict.fromkeys(locations, UNEXPLORED),
         )
 
     def _unchanged_kinds(self) -> dict[str, set[str]]:
@@ -188,25 +188,20 @@ class SceneGraph(Memoised):
         whose edge from it already exists with the relation it would get
         now (``adjacent`` for a known location, ``contains`` otherwise).
 
-        A location counts as Explored only if every status entry it has
-        says so, and a location or kind counts only if it is a vertex.
-        Computed once per instance.
+        A location or kind counts only if it is a vertex.  Computed once
+        per instance.
         """
         memo = self._memo
         if memo is None:
-            locations = {loc for loc, _ in self.status}
-            explored = locations - {loc for loc, st in self.status if st != EXPLORED}
-            memo = {loc: {loc} for loc in explored & self.vertices}
+            memo = {loc: {loc} for loc, st in self.status.items()
+                    if st == EXPLORED and loc in self.vertices}
             for u, v, relation in self.edges:
                 kinds = memo.get(u)
                 if (kinds is not None and v in self.vertices
-                        and relation == ("adjacent" if v in locations else "contains")):
+                        and relation == ("adjacent" if v in self.status else "contains")):
                     kinds.add(v)
             object.__setattr__(self, "_memo", memo)
         return memo
-
-    def status_map(self) -> dict[str, str]:
-        return dict(self.status)
 
     def to_json(self) -> dict:
         return {
@@ -229,7 +224,7 @@ class SceneGraph(Memoised):
             raise ValueError("field 'edges' is not an array of [u, v, relation] strings")
         if not all(st in (EXPLORED, UNEXPLORED) for st in status.values()):
             raise ValueError(f"field 'status' holds a value other than {EXPLORED!r} and {UNEXPLORED!r}")
-        return SceneGraph(frozenset(vertices), tuple(map(tuple, edges)), tuple(status.items()))
+        return SceneGraph(frozenset(vertices), tuple(map(tuple, edges)), dict(status))
 
 
 def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
@@ -246,23 +241,19 @@ def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
     unchanged = sg._unchanged_kinds().get(here)
     if unchanged is not None and unchanged.issuperset(map(_TYPE, obs.visible_objects)):
         return sg
-    known_locations = {loc for loc, _ in sg.status}
     seen = set(sg.edges)
     added = []
     for vis in obs.visible_objects:
         kind = vis.type
         if kind == here:
             continue
-        edge = (here, kind, "adjacent" if kind in known_locations else "contains")
+        edge = (here, kind, "adjacent" if kind in sg.status else "contains")
         if edge not in seen:
             seen.add(edge)
             added.append(edge)
     kinds = {vis.type for vis in obs.visible_objects}
     kinds.add(here)
-    status = tuple((loc, EXPLORED if loc == here else st) for loc, st in sg.status)
-    if here not in known_locations:
-        status += ((here, EXPLORED),)
-    return SceneGraph(sg.vertices | kinds, sg.edges + tuple(added), status)
+    return SceneGraph(sg.vertices | kinds, sg.edges + tuple(added), {**sg.status, here: EXPLORED})
 
 
 def sg_locate(sg: SceneGraph, item: str) -> list[str]:
@@ -272,7 +263,3 @@ def sg_locate(sg: SceneGraph, item: str) -> list[str]:
         if rel == "contains" and v == item and u not in out:
             out.append(u)
     return out
-
-
-def sg_unexplored(sg: SceneGraph) -> list[str]:
-    return [loc for loc, st in sg.status if st == UNEXPLORED]

@@ -17,7 +17,6 @@ from typing import Sequence
 from .core import Memoised, Outcome, Trajectory, Transition, classify_transitions, require, to_json
 from .dsl import (
     ParseError,
-    Polarity,
     RuleAst,
     RuleTypeError,
     evaluate,
@@ -204,10 +203,6 @@ class CoverageMatrix:
         }
 
 
-def misprediction_key(transition: Transition, predicted: Outcome) -> str:
-    return transition.digest() + str(predicted.success)
-
-
 @dataclass
 class LearnerState(Memoised):
     """Single-owner state threading through learning iterations."""
@@ -224,14 +219,15 @@ class LearnerState(Memoised):
     _keys = None  # memo of misprediction_keys(): the set, and _extends's count and last pair
 
     def misprediction_keys(self) -> set[str]:
-        """The key of every stored misprediction, kept: a call keys only the
-        pairs appended since, or all when the list no longer extends the
-        one covered.  A caller that appends a pair may add its key."""
+        """The transition digest of every stored misprediction, kept: a call
+        keys only the pairs appended since, or all when the list no longer
+        extends the one covered.  A caller that appends a pair may add its
+        key."""
         items = self.mispredictions
         keys, n, last = self._keys or (set(), 0, None)
         if not _extends(items, n, last):
             keys, n = set(), 0
-        keys.update(misprediction_key(t, p) for t, p in items[n:])
+        keys.update(t.digest() for t, _ in items[n:])
         self._keys = (keys, len(items), items[-1] if items else None)
         return keys
 
@@ -289,21 +285,6 @@ def induce_rules(
     return InductionResult(tuple(new), tuple(invalid))
 
 
-def asserted_bit(rule: RuleAst, verdict) -> bool | None:
-    """The success bit a rule actively claims for a transition, or None when
-    the rule is dormant there.
-
-    A fail-if rule asserts failure only when its condition branch fires;
-    otherwise its output is null.  A succeed-only-if rule models its action
-    completely and asserts a bit whenever it activates.
-    """
-    if not verdict.activated:
-        return None
-    if rule.polarity is Polarity.FAIL_IF:
-        return False if not verdict.flag else None
-    return verdict.flag
-
-
 def coverage(
     rule: RuleAst,
     transition: Transition,
@@ -324,7 +305,7 @@ def coverage(
     verdict = evaluate(
         rule, transition.obs, transition.action, kg, sg, tool_tiers=tool_tiers
     )
-    return asserted_bit(rule, verdict) == transition.outcome.success
+    return verdict.asserted == transition.outcome.success
 
 
 def build_matrix(
@@ -443,8 +424,7 @@ def drop_invalid(
             if t.action.name != guard:
                 continue  # dormant: a guard mismatch never activates
             verdict = evaluate(entry.ast, t.obs, t.action, kg, sg, tool_tiers=tool_tiers)
-            asserted = asserted_bit(entry.ast, verdict)
-            if asserted is not None and asserted != t.outcome.success:
+            if verdict.asserted is not None and verdict.asserted != t.outcome.success:
                 valid = False
                 log.info("dropping invalid rule %s (contradicted by a real transition)", entry.id)
                 break
@@ -509,7 +489,7 @@ def ns_learning(
     """
     known = state.misprediction_keys()
     for pair in classify_transitions(real, pred):
-        key = misprediction_key(*pair)
+        key = pair[0].digest()
         if key not in known:
             known.add(key)
             state.mispredictions.append(pair)

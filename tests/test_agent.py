@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from worldalign import agent
 from worldalign.agent import (
     EpisodeComponents,
     ScriptedPlanner,
@@ -182,6 +183,18 @@ def test_episode_step_cadence_learns_every_step():
     state = LearnerState()
     result = run_episode(config, state, components)
     assert state.iteration == result.metrics["steps"]
+
+
+def test_episode_rejects_an_unknown_cadence_before_building_the_world(monkeypatch):
+    config = make_config("default", seed=21)
+    components = _components(config)
+    components.cadence = "steps"
+    built = []
+    monkeypatch.setattr(agent, "MarsWorld", lambda *args: built.append(args))
+    state = LearnerState()
+    with pytest.raises(ValueError, match="unknown cadence 'steps'"):
+        run_episode(config, state, components)
+    assert built == [] and state.iteration == 0
 
 
 def test_proposer_failure_propagates_from_episode():

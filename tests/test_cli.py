@@ -340,7 +340,10 @@ def test_ablate_limit_worker_pool_writes_identical_table(tmp_path):
 
 
 def test_ablate_limit_zero_rejected(tmp_path):
-    assert run_cli(["ablate-limit", *FAST, "--limits", "0", "--out", tmp_path / "x"]) == 2
+    for limits in ("0", "3,3"):  # a limit below 1, a repeated limit
+        out = tmp_path / limits
+        assert run_cli(["ablate-limit", *FAST, "--limits", limits, "--out", out]) == 2
+        assert not out.exists()
 
 
 def _write_pair(tmp_path, actions):
@@ -783,6 +786,17 @@ def test_golden_runs_expand_to_their_format_1_digests(golden_tree, tmp_path, nam
     expanded = shutil.copytree(golden_tree(name), tmp_path / name)
     _expand_to_format_1(expanded)
     assert tree_digest(expanded, skip=("manifest.json",)) == FORMAT_1_DIGESTS[name]
+
+
+def test_every_golden_scene_graph_reads_back_and_writes_out_byte_for_byte(golden_tree, tmp_path):
+    from worldalign.artifacts import write_json
+
+    paths = [path for name in sorted(GOLDEN_RUNS)
+             for path in sorted(golden_tree(name).rglob("sg.json"))]
+    assert paths
+    for path in paths:
+        write_json(tmp_path / "sg.json", _read_sg(path).to_json())
+        assert (tmp_path / "sg.json").read_bytes() == path.read_bytes(), path
 
 
 # -- one parser per kind: inspect and the typed readers agree ------------------------------

@@ -34,7 +34,7 @@ from worldalign.dsl import (
     pretty_print,
     uses_graphs,
 )
-from worldalign.dsl.parser import _KEYWORDS, MAX_NESTING, Token, _tokenize
+from worldalign.dsl.parser import MAX_NESTING, Token, _tokenize
 from worldalign.graphs import KgEdge, KnowledgeGraph, SceneGraph, kg_merge, sg_update
 
 from conftest import make_obs
@@ -300,9 +300,7 @@ def _reference_tokenize(source):
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            word = source[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, line, start_col))
+            tokens.append(Token("IDENT", source[i:j], line, start_col))
             col += j - i
             i = j
             continue

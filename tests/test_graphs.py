@@ -12,13 +12,13 @@ from worldalign.env.oracle import kg_edges_for_config
 from worldalign import graphs
 from worldalign.graphs import (
     EXPLORED,
+    UNEXPLORED,
     KgEdge,
     KnowledgeGraph,
     SceneGraph,
     kg_induce,
     kg_merge,
     sg_locate,
-    sg_unexplored,
     sg_update,
 )
 
@@ -227,14 +227,14 @@ def test_fresh_graph_unexplored_equals_configured_locations():
     config = make_config("default")
     locations = sorted(config.terrain_table)
     sg = SceneGraph.initial(locations)
-    assert sg_unexplored(sg) == locations
+    assert [loc for loc, st_ in sg.status.items() if st_ == UNEXPLORED] == locations
 
 
 def test_sg_update_adds_position_and_visible_objects():
     sg = SceneGraph.initial(["grass", "water"])
     obs = make_obs(position="grass", visible=(("table", 1, 0), ("water", 2, 1)), near=("table",))
     updated = sg_update(sg, obs)
-    assert updated.status_map()["grass"] == EXPLORED
+    assert updated.status["grass"] == EXPLORED
     assert ("grass", "table", "contains") in updated.edges
     assert ("grass", "water", "adjacent") in updated.edges
     assert sg_locate(updated, "table") == ["grass"]
@@ -254,8 +254,8 @@ def test_sg_monotonicity(positions):
         updated = sg_update(sg, make_obs(position=position, in_front=position))
         assert updated.vertices >= sg.vertices
         assert set(updated.edges) >= set(sg.edges)
-        explored_before = {l for l, s in sg.status if s == EXPLORED}
-        explored_after = {l for l, s in updated.status if s == EXPLORED}
+        explored_before = {l for l, s in sg.status.items() if s == EXPLORED}
+        explored_after = {l for l, s in updated.status.items() if s == EXPLORED}
         assert explored_after >= explored_before
         sg = updated
 
@@ -266,7 +266,7 @@ def _reference_sg_update(sg: SceneGraph, obs) -> SceneGraph:
     here = obs.position
     vertices = set(sg.vertices)
     vertices.add(here)
-    known_locations = {loc for loc, _ in sg.status}
+    known_locations = set(sg.status)
     edges = list(sg.edges)
     seen = set(edges)
     for vis in obs.visible_objects:
@@ -283,7 +283,7 @@ def _reference_sg_update(sg: SceneGraph, obs) -> SceneGraph:
             edges.append(edge)
     status = []
     found = False
-    for loc, st_ in sg.status:
+    for loc, st_ in sg.status.items():
         if loc == here:
             status.append((loc, EXPLORED))
             found = True
@@ -291,16 +291,15 @@ def _reference_sg_update(sg: SceneGraph, obs) -> SceneGraph:
             status.append((loc, st_))
     if not found:
         status.append((here, EXPLORED))
-    return SceneGraph(frozenset(vertices), tuple(edges), tuple(status))
+    return SceneGraph(frozenset(vertices), tuple(edges), dict(status))
 
 
 # Locations overlap the observations' positions and visible types, so folds
-# add `adjacent` and `contains` edges; a location may repeat in the status,
-# with any status, as a graph read from JSON or built by hand can.
+# add `adjacent` and `contains` edges.
 LOCATIONS = ["grass", "sand", "césped", "stone", "石", "water"]
 scene_graphs = st.builds(
     lambda status, extra: SceneGraph(
-        frozenset([loc for loc, _ in status] + extra), (), tuple(status)
+        frozenset([loc for loc, _ in status] + extra), (), dict(status)
     ),
     st.lists(st.tuples(st.sampled_from(LOCATIONS), st.sampled_from([EXPLORED, "Unexplored"])),
              max_size=5),
@@ -332,19 +331,20 @@ def test_sg_update_matches_the_copying_fold_and_returns_an_unchanged_graph(sg, o
         updated = sg_update(sg, obs)
         assert updated == expected
         assert list(updated.edges) == list(expected.edges)  # first-appearance order
+        assert list(updated.status.items()) == list(expected.status.items())
         assert (updated is sg) == (expected == sg)
         sg = updated
 
 
-def test_scene_graph_memo_is_outside_equality_hashing_repr_and_pickling():
+def test_scene_graph_memo_is_outside_equality_repr_and_pickling():
     obs = make_obs(visible=(("table", 1, 0), ("sand", 2, 0)))
     sg = sg_update(SceneGraph.initial(["grass", "sand"]), obs)
-    twin = SceneGraph(sg.vertices, sg.edges, sg.status)
-    pickled, shown, hashed = pickle.dumps(twin), repr(twin), hash(twin)
+    twin = SceneGraph(sg.vertices, sg.edges, dict(sg.status))
+    pickled, shown = pickle.dumps(twin), repr(twin)
     assert sg_update(sg, obs) is sg  # answered from, and so fills, sg's memo
     assert sg._memo is not None and twin._memo is None
     assert sg == twin
-    assert (pickle.dumps(sg), repr(sg), hash(sg)) == (pickled, shown, hashed)
+    assert (pickle.dumps(sg), repr(sg)) == (pickled, shown)
     assert pickle.loads(pickle.dumps(sg))._memo is None
     assert copy.deepcopy(sg)._memo is None
 
@@ -355,7 +355,7 @@ def test_full_sweep_explores_every_location():
     sg = SceneGraph.initial(locations)
     for loc in locations:
         sg = sg_update(sg, make_obs(position=loc, in_front=loc))
-    assert sg_unexplored(sg) == []
+    assert [loc for loc, st_ in sg.status.items() if st_ == UNEXPLORED] == []
 
 
 def test_locate_insertion_order_and_unknown_item():

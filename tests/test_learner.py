@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from worldalign import learner
 from worldalign.core import Action, Outcome, Trajectory, Transition, classify_transitions
-from worldalign.dsl import ParseError, RuleTypeError, evaluate, parse, pretty_print
+from worldalign.dsl import ParseError, Polarity, RuleTypeError, evaluate, parse, pretty_print
 from worldalign.env import CONFIG_IDS, make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign.experiments import run_probe
@@ -30,7 +30,6 @@ from worldalign.learner import (
     coverage,
     drop_invalid,
     induce_rules,
-    misprediction_key,
     ns_learning,
     prune_trace,
 )
@@ -762,6 +761,18 @@ GUARDED_POOL = (
 )
 
 
+def _reference_asserted_bit(rule, verdict):
+    """The reference for `RuleVerdict.asserted`: the success bit a rule
+    claims, from its polarity and verdict, or None where it claims none.  A
+    FAIL IF rule claims failure only when its condition fires; a SUCCEED
+    ONLY IF rule claims its verdict whenever it activates."""
+    if not verdict.activated:
+        return None
+    if rule.polarity is Polarity.FAIL_IF:
+        return False if not verdict.flag else None
+    return verdict.flag
+
+
 def _counted_evaluate(rule, obs, action, kg, sg, *, tool_tiers, dormant):
     """`evaluate`, adding one to `dormant[rule.id]` for each guard-matched
     evaluation that comes back dormant; `dormant=None` counts nothing."""
@@ -780,7 +791,7 @@ def _reference_drop_invalid(rules, transitions, kg, sg, *, tool_tiers, watermark
         for t in transitions[watermark.get(entry.ast, 0):]:
             verdict = _counted_evaluate(entry.ast, t.obs, t.action, kg, sg,
                                         tool_tiers=tool_tiers, dormant=dormant)
-            asserted = learner.asserted_bit(entry.ast, verdict)
+            asserted = _reference_asserted_bit(entry.ast, verdict)
             if asserted is not None and asserted != t.outcome.success:
                 valid = False
                 break
@@ -797,7 +808,7 @@ def _reference_coverage(rule, transition, predicted, kg, sg, *, tool_tiers, dorm
         raise ValueError("coverage is defined over mispredicted transitions only")
     verdict = _counted_evaluate(rule, transition.obs, transition.action, kg, sg,
                                 tool_tiers=tool_tiers, dormant=dormant)
-    return learner.asserted_bit(rule, verdict) == transition.outcome.success
+    return _reference_asserted_bit(rule, verdict) == transition.outcome.success
 
 
 def _reference_matrix(entries, mispredictions, kg, sg, *, tool_tiers, rows, dormant):
@@ -906,6 +917,31 @@ def test_guard_matched_learning_matches_evaluating_every_pair(
                                                 tool_tiers=tiers, dormant=slow)
                 )
     assert fast == slow
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(GUARDED_POOL),
+    st.integers(0, 99),
+    st.integers(0, len(DIFFERENTIAL_OBS)),
+    st.sampled_from((TIERS, ALT_TIERS)),
+)
+# `rested` (SUCCEED ONLY IF) holding, then failing: few probe steps sleep.
+@example(text=GUARDED_POOL[6], pick=60, obs_index=0, tiers=TIERS)
+@example(text=GUARDED_POOL[6], pick=62, obs_index=0, tiers=TIERS)
+def test_a_verdict_carries_the_bit_its_rule_asserts(text, pick, obs_index, tiers):
+    """`RuleVerdict.asserted` is the bit the reference reads off the rule's
+    polarity and verdict, over both polarities, guard mismatches and
+    unresolvable atoms."""
+    (real, _), locations = _differential_probe()
+    t = real.transitions[pick]
+    rule = parse(text)
+    kg = kg_merge(KnowledgeGraph.empty(), kg_edges_for_config(make_config("default", seed=3)))
+    sg = SceneGraph.initial(locations)
+    if obs_index < len(DIFFERENTIAL_OBS):
+        sg = sg_update(sg, DIFFERENTIAL_OBS[obs_index])
+    verdict = evaluate(rule, t.obs, t.action, kg, sg, tool_tiers=tiers)
+    assert verdict.asserted == _reference_asserted_bit(rule, verdict)
 
 
 # -- one owner for the selection step ------------------------------------------
@@ -1037,7 +1073,7 @@ class _RebuiltKeys(LearnerState):
     """The reference: every call keys the whole misprediction list again."""
 
     def misprediction_keys(self):
-        return {misprediction_key(t, p) for t, p in self.mispredictions}
+        return {t.digest() for t, _ in self.mispredictions}
 
 
 @settings(deadline=None, max_examples=60)

@@ -211,7 +211,7 @@ def test_oracle_rules_make_rule_scope_predictions_exact():
     from worldalign.dsl import parse
     from worldalign.env.oracle import kg_edges_for_config, rules_for_config
     from worldalign.experiments import run_probe
-    from worldalign.learner import asserted_bit
+    from test_learner import _reference_asserted_bit
     from worldalign.dsl import evaluate
 
     config = make_config("default", seed=6)
@@ -222,7 +222,7 @@ def test_oracle_rules_make_rule_scope_predictions_exact():
     in_scope = checked = 0
     for t in real.transitions:
         asserted = [
-            asserted_bit(r, evaluate(r, t.obs, t.action, kg, SceneGraph(),
+            _reference_asserted_bit(r, evaluate(r, t.obs, t.action, kg, SceneGraph(),
                                      tool_tiers=tables.tool_tiers))
             for r in rules
         ]
