@@ -19,7 +19,6 @@ from .core import Action, Observation, Outcome, Trajectory, Transition, has_tool
 from .dsl import parse_shortfall
 from .env.config import (
     ACHIEVEMENTS,
-    EffectiveTables,
     MAKEABLE,
     PLACEABLE,
     TARGET_CHAIN_ACHIEVEMENT,
@@ -42,16 +41,6 @@ class ActionProposer(Protocol):
     ) -> Action: ...
 
 
-@dataclass(frozen=True)
-class MpcResult:
-    action: Action
-    predicted: Outcome
-    next_obs_estimate: Observation
-    replan_count: int
-    # every vetted candidate in order; the replan count of steps[i] is i + 1
-    steps: tuple[tuple[Action, MapExecuteResult], ...]
-
-
 def mpc_plan(
     obs: Observation,
     rules: RuleSet,
@@ -60,10 +49,14 @@ def mpc_plan(
     kg: KnowledgeGraph,
     sg: SceneGraph,
     *,
-    tables: EffectiveTables,
+    tables: WorldConfig,
     replan_limit: int = 3,
-) -> MpcResult:
-    """Propose/vet until a candidate passes the rules or the budget runs out."""
+) -> tuple[tuple[Action, MapExecuteResult], ...]:
+    """Propose/vet until a candidate passes the rules or the budget runs out.
+
+    Returns every vetted candidate in order: the last one is executed, and
+    step i has replan count i + 1.
+    """
     if replan_limit < 1:
         raise ValueError("replan_limit must be >= 1")
     feedback: list[str] = []
@@ -73,16 +66,12 @@ def mpc_plan(
     while True:
         action = proposer.propose(obs, feedback, suggestions, kg)
         base = wm.predict(obs, action)
-        result = map_execute(asts, obs, action, base, kg, sg, tables=tables)
-        steps.append((action, result))
-        if result.flag or len(steps) >= replan_limit:
-            break
-        feedback.append(result.feedback)
-        suggestions.append(result.suggestion)
-    predicted = Outcome(
-        result.flag, result.feedback, "" if result.flag else result.suggestion
-    )
-    return MpcResult(action, predicted, result.next_obs, len(steps), tuple(steps))
+        vetted = map_execute(asts, obs, action, base, kg, sg, tables=tables)
+        steps.append((action, vetted))
+        if vetted.predicted.success or len(steps) >= replan_limit:
+            return tuple(steps)
+        feedback.append(vetted.predicted.feedback)
+        suggestions.append(vetted.predicted.suggestion)
 
 
 # Secondary goals pursued once the primary chain product is crafted, for
@@ -645,23 +634,17 @@ class ExternalBackendPlanner:
             return None
 
 
-@dataclass(frozen=True)
-class ScoreValue:
-    percent: float
-    defined: bool
-
-
-def score(success_rates: dict[str, float]) -> ScoreValue:
+def score(success_rates: dict[str, float]) -> float:
     """Log-geometric mean of achievement success rates, in percent:
-    exp(mean(ln(1 + 100 * rate))) - 1."""
+    exp(mean(ln(1 + 100 * rate))) - 1; 0.0 for no rates."""
     if not success_rates:
-        return ScoreValue(0.0, defined=False)
+        return 0.0
     for name, rate in success_rates.items():
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate for {name} outside [0, 1]: {rate}")
     mean_log = sum(math.log1p(100.0 * rate) for rate in success_rates.values())
     mean_log /= len(success_rates)
-    return ScoreValue(math.exp(mean_log) - 1.0, defined=True)
+    return math.exp(mean_log) - 1.0
 
 
 @dataclass
@@ -717,21 +700,22 @@ def run_episode(
             components.learner_config, tool_tiers=world.tables.tool_tiers,
         )
 
-    while not done and target not in world.ledger.unlocks:
-        plan = mpc_plan(
+    while not done and target not in world.unlocks:
+        steps = mpc_plan(
             obs, state.rules, components.predictor, components.planner,
             state.kg, state.sg,
             tables=tables,
             replan_limit=components.replan_limit,
         )
-        next_obs, reward, done, outcome = world.step(plan.action)
-        real.append(Transition(obs, plan.action, outcome, next_obs))
-        predicted.append(Transition(obs, plan.action, plan.predicted, plan.next_obs_estimate))
-        total_proposals += plan.replan_count
+        action, vetted = steps[-1]
+        next_obs, reward, done, outcome = world.step(action)
+        real.append(Transition(obs, action, outcome, next_obs))
+        predicted.append(Transition(obs, action, vetted.predicted, vetted.next_obs))
+        total_proposals += len(steps)
         total_reward += reward
         observe = getattr(components.planner, "observe_result", None)
         if observe is not None:
-            observe(plan.action, outcome, next_obs)
+            observe(action, outcome, next_obs)
         if components.cadence == "step" and components.rule_proposer is not None:
             learn(predicted[-1:], real[-1:])
         obs = next_obs
@@ -745,16 +729,16 @@ def run_episode(
         state.rules, state.mispredictions, state.kg, state.sg,
         tool_tiers=world.tables.tool_tiers,
     )
-    rates = {name: 1.0 if name in world.ledger.unlocks else 0.0 for name in ACHIEVEMENTS}
+    rates = {name: 1.0 if name in world.unlocks else 0.0 for name in ACHIEVEMENTS}
     metrics = {
         "reward": round(total_reward, 6),
-        "score": round(score(rates).percent, 6),
+        "score": round(score(rates), 6),
         "cover_rate": round(rate.value, 6),
         "cover_rate_defined": rate.defined,
-        "achievements": dict(world.ledger.unlocks),
+        "achievements": dict(world.unlocks),
         "steps": world.step_count,
         "died": world.dead,
-        "task_complete": target in world.ledger.unlocks,
+        "task_complete": target in world.unlocks,
         "proposals": total_proposals,
     }
     return EpisodeResult(real_traj, pred_traj, metrics)

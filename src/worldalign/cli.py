@@ -145,7 +145,7 @@ def cmd_simulate(spec: ExperimentSpec) -> int:
         for name in ACHIEVEMENTS
     }
     summary["aggregate_score"] = {
-        "mean": round(score(rates).percent, 6),
+        "mean": round(score(rates), 6),
         "std": 0.0,
     }
     write_json(out / "summary.json", {"rows": summary})
@@ -296,6 +296,17 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
+def _limits(text: str) -> list[int]:
+    """The `--limits` list; a ValueError names a piece that is not an integer."""
+    limits = []
+    for piece in filter(str.strip, text.split(",")):
+        try:
+            limits.append(int(piece))
+        except ValueError:
+            raise ValueError(f"--limits: {piece.strip()!r} is not an integer") from None
+    return limits
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -306,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(_spec_from_args(args))
         if args.command == "ablate-limit":
-            limits = [int(x) for x in str(args.limits).split(",") if x.strip()]
-            return cmd_ablate_limit(_spec_from_args(args), limits)
+            return cmd_ablate_limit(_spec_from_args(args), _limits(args.limits))
         if args.command == "coverage-curve":
             return cmd_coverage_curve(_spec_from_args(args))
         if args.command == "inspect":

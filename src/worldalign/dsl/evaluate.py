@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import Action, DEFAULT_TOOL_TIERS, Observation, has_tool_at_least
-from ..graphs import KnowledgeGraph, SceneGraph, UNEXPLORED, sg_locate
+from ..graphs import KnowledgeGraph, SceneGraph, UNEXPLORED
 from .ast import (
     And,
     ArgCmp,
@@ -109,7 +109,7 @@ def _eval(expr: Expr, ctx: _Context) -> bool:
     if isinstance(expr, SgContains):
         if expr.location not in ctx.sg.vertices:
             raise _Unresolvable(f"unknown location {expr.location!r}")
-        return expr.location in sg_locate(ctx.sg, expr.item)
+        return (expr.location, expr.item, "contains") in ctx.sg.edges
     if isinstance(expr, SgUnexplored):
         status = ctx.sg.status.get(expr.location)
         if status is None:
@@ -207,14 +207,9 @@ class JointVerdict:
     failure dominates, strings concatenated in rule-id order."""
 
     activated_ids: tuple[str, ...]
-    failing_ids: tuple[str, ...]
-    flag: bool
+    failing_ids: tuple[str, ...]  # empty exactly when the joint verdict passes
     feedback: str
     suggestion: str
-
-    @property
-    def any_activated(self) -> bool:
-        return bool(self.activated_ids)
 
 
 def evaluate_all(
@@ -248,7 +243,6 @@ def evaluate_all(
     return JointVerdict(
         activated_ids=tuple(activated),
         failing_ids=tuple(failing),
-        flag=not failing,
         feedback=" ".join(feedback),
         suggestion=" ".join(suggestion),
     )

@@ -3,7 +3,6 @@ from .config import (
     ACHIEVEMENTS,
     CONFIG_IDS,
     CreatureTraits,
-    EffectiveTables,
     MAKEABLE,
     MineRule,
     Modification,
@@ -17,12 +16,11 @@ from .config import (
     make_config,
 )
 from .oracle import kg_edges_for_config, rules_for_config
-from .world import AchievementLedger, MarsWorld, apply_effect
+from .world import MarsWorld, apply_effect
 
 __all__ = [
-    "ACHIEVEMENTS", "AchievementLedger", "CONFIG_IDS", "CreatureTraits",
-    "EffectiveTables", "MAKEABLE", "MarsWorld", "MineRule", "Modification",
-    "PLACEABLE", "Recipe", "TARGET_CHAIN_ACHIEVEMENT", "UnsolvableConfig",
-    "WorldConfig", "apply_effect", "check_solvable",
+    "ACHIEVEMENTS", "CONFIG_IDS", "CreatureTraits", "MAKEABLE", "MarsWorld",
+    "MineRule", "Modification", "PLACEABLE", "Recipe", "TARGET_CHAIN_ACHIEVEMENT",
+    "UnsolvableConfig", "WorldConfig", "apply_effect", "check_solvable",
     "kg_edges_for_config", "load_config", "make_config", "rules_for_config",
 ]

@@ -178,7 +178,7 @@ class WorldConfig:
         if min(self.view) < 1:
             raise ValueError(f"field 'view' is {list(self.view)}; rows and cols must be >= 1")
         _at_least(0, terrain_table=self.terrain_table)
-        if min(sum(self.terrain_table.values()), sum(self.effective().terrain.values())) <= 0:
+        if sum(self.terrain_table.values()) <= 0:
             raise ValueError("terrain spawn weights must sum to a positive value, modified or not")
         for mining in (self.mining, *(mod.mining for mod in self.modifications)):
             for block, rule in mining.items():
@@ -187,12 +187,16 @@ class WorldConfig:
                         f"mining {block!r} names tool tier {rule.tool!r}, "
                         f"not one of tool_tiers {list(self.tool_tiers)}"
                     )
+        self.effective()  # the merged config runs these checks on its tables
 
     def with_seed(self, seed: int) -> "WorldConfig":
         return replace(self, seed=seed)
 
-    def effective(self) -> "EffectiveTables":
-        """Tables after applying every modification in order."""
+    def effective(self) -> "WorldConfig":
+        """This config with every modification applied in order to its
+        tables; a config without modifications is its own effective one."""
+        if not self.modifications:
+            return self
         terrain = dict(self.terrain_table)
         recipes = dict(self.recipes)
         mining = dict(self.mining)
@@ -204,22 +208,16 @@ class WorldConfig:
             for name in mod.removed_mining:
                 mining.pop(name, None)
             survival.update(mod.survival)
-        return EffectiveTables(terrain, recipes, mining, tuple(self.tool_tiers), survival)
+        return replace(self, terrain_table=terrain, recipes=recipes, mining=mining,
+                       survival=survival, modifications=())
 
-    def base_tables(self) -> "EffectiveTables":
+    def base_tables(self) -> "WorldConfig":
         """The unmodified default tables, as a naive prior would recall them."""
-        return replace(self, modifications=()).effective()
-
-@dataclass(frozen=True)
-class EffectiveTables:
-    terrain: dict[str, float]
-    recipes: dict[str, Recipe]
-    mining: dict[str, MineRule]
-    tool_tiers: tuple[str, ...]
-    survival: dict[str, CreatureTraits]
+        return replace(self, modifications=())
 
     def hostiles(self) -> list[str]:
-        return sorted(name for name, traits in self.survival.items() if traits.hostile)
+        """The creatures hostile in the effective tables, sorted."""
+        return sorted(name for name, traits in self.effective().survival.items() if traits.hostile)
 
 
 def check_solvable(config: WorldConfig) -> None:
@@ -239,7 +237,7 @@ def check_solvable(config: WorldConfig) -> None:
     while changed:
         changed = False
         for block, rule in tables.mining.items():
-            if block in tables.terrain and has_tool_at_least(
+            if block in tables.terrain_table and has_tool_at_least(
                 craftable, rule.tool, tables.tool_tiers
             ):
                 if rule.drop not in obtainable:

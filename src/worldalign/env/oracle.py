@@ -62,7 +62,7 @@ def rules_for_config(config: WorldConfig) -> list[str]:
                 f'FEEDBACK "Mining {block} needs {rule.tool} or better." '
                 f'SUGGEST "Craft {rule.tool} or a better pickaxe first."'
             )
-    unminable = sorted(set(tables.terrain) - set(tables.mining)) + ["table", "furnace"]
+    unminable = sorted(set(tables.terrain_table) - set(tables.mining)) + ["table", "furnace"]
     for block in unminable:
         rules.append(
             f"RULE gt_mine_never_{block} FOR mine: FAIL IF action.args[block_name] == \"{block}\" "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..core import (
     Action,
@@ -22,7 +22,6 @@ from ..core import (
 )
 from .config import (
     ACHIEVEMENTS,
-    EffectiveTables,
     MAKEABLE,
     PLACEABLE,
     WorldConfig,
@@ -50,20 +49,6 @@ CREATURE_SPAWNS = (("cow", 2), ("zombie", 1), ("skeleton", 1))
 
 
 @dataclass
-class AchievementLedger:
-    unlocks: dict[str, int] = field(default_factory=dict)
-
-    def unlock(self, name: str, step: int) -> bool:
-        if name in ACHIEVEMENTS and name not in self.unlocks:
-            self.unlocks[name] = step
-            return True
-        return False
-
-    def count(self) -> int:
-        return len(self.unlocks)
-
-
-@dataclass
 class _Creature:
     kind: str
     x: int
@@ -76,7 +61,7 @@ class MarsWorld:
     def __init__(self, config: WorldConfig):
         check_solvable(config)
         self.config = config
-        self.tables: EffectiveTables = config.effective()
+        self.tables = config.effective()
         self._hostiles = frozenset(self.tables.hostiles())
         # Observations share one immutable VisibleObject per (type, dx, dy).
         self._interned = VisibleObjectPool()
@@ -86,8 +71,8 @@ class MarsWorld:
     def reset(self) -> Observation:
         rng = random.Random(f"{self.config.seed}:worldgen")
         size = self.config.grid_size
-        names = sorted(self.tables.terrain)
-        weights = [self.tables.terrain[n] for n in names]
+        names = sorted(self.tables.terrain_table)
+        weights = [self.tables.terrain_table[n] for n in names]
         # One batched draw makes the same `random()` calls as a `choices` per cell.
         cells = rng.choices(names, cum_weights=list(accumulate(weights)), k=size * size)
         self.grid = [cells[y * size:(y + 1) * size] for y in range(size)]
@@ -135,7 +120,7 @@ class MarsWorld:
                     self.add_creature(kind, x, y)
                     cursor += 1
         self._creature_rng = random.Random(f"{self.config.seed}:wander")
-        self.ledger = AchievementLedger()
+        self.unlocks: dict[str, int] = {}  # achievement -> step of its first unlock
         self.step_count = 0
         self.health_lost = 0
         self.health_regained = 0
@@ -207,7 +192,7 @@ class MarsWorld:
             obs = self.observe()
             return obs, 0.0, True, Outcome(False, "episode is over")
 
-        unlocked_before = self.ledger.count()
+        unlocked_before = len(self.unlocks)
         lost_before, regained_before = self.health_lost, self.health_regained
 
         handler = getattr(self, f"_do_{action.name}")
@@ -222,7 +207,7 @@ class MarsWorld:
             self.dead = True
         done = self.dead or self.step_count >= self.config.max_steps
         reward = (
-            (self.ledger.count() - unlocked_before) * 1.0
+            (len(self.unlocks) - unlocked_before) * 1.0
             + (self.health_regained - regained_before) * 0.1
             - (self.health_lost - lost_before) * 0.1
         )
@@ -246,10 +231,10 @@ class MarsWorld:
         for x, y in targets[:amount]:
             if rule.drop == "drink":
                 self._set_status(drink=min(9, self.status.drink + 1))
-                self.ledger.unlock("collect_drink", self.step_count)
+                self._unlock("collect_drink")
             else:
                 self.inventory[rule.drop] = self.inventory.get(rule.drop, 0) + 1
-                self.ledger.unlock(f"collect_{rule.drop}", self.step_count)
+                self._unlock(f"collect_{rule.drop}")
             if rule.consumed:
                 self.grid[y][x] = "grass"
             mined += 1
@@ -270,7 +255,7 @@ class MarsWorld:
             if creature and creature.kind == target:
                 self.creatures.remove(creature)
                 del self.occupancy[(x, y)]
-                self.ledger.unlock(f"kill_{target}", self.step_count)
+                self._unlock(f"kill_{target}")
                 self._eat(traits)
                 hits += 1
         if hits < amount and target == "plant":
@@ -279,7 +264,7 @@ class MarsWorld:
                     break
                 if self.grid[y][x] == "plant":
                     self.grid[y][x] = "grass"
-                    self.ledger.unlock("eat_plant", self.step_count)
+                    self._unlock("eat_plant")
                     self._eat(traits)
                     hits += 1
         if hits == 0:
@@ -298,7 +283,7 @@ class MarsWorld:
         if threats:
             return False, f"too dangerous to sleep: {', '.join(threats)} nearby"
         self._set_status(energy=9)
-        self.ledger.unlock("wake_up", self.step_count)
+        self._unlock("wake_up")
         return True, "slept and woke up rested"
 
     def _do_place(self, action: Action) -> tuple[bool, str]:
@@ -321,7 +306,7 @@ class MarsWorld:
         recipe.consume(self.inventory)
         self.grid[fy][fx] = "plant" if block == "sapling" else block
         name = "place_plant" if block == "sapling" else f"place_{block}"
-        self.ledger.unlock(name, self.step_count)
+        self._unlock(name)
         return True, f"placed {block}"
 
     def _do_make(self, action: Action) -> tuple[bool, str]:
@@ -336,7 +321,7 @@ class MarsWorld:
             return False, f"cannot make {tool}: missing {', '.join(shortfall)}"
         recipe.consume(self.inventory)
         self.inventory[tool] = self.inventory.get(tool, 0) + 1
-        self.ledger.unlock(f"make_{tool}", self.step_count)
+        self._unlock(f"make_{tool}")
         return True, f"made {tool}"
 
     def _do_explore(self, action: Action) -> tuple[bool, str]:
@@ -428,12 +413,16 @@ class MarsWorld:
             self.health_lost += -actual
         self._set_status(health=new)
 
+    def _unlock(self, name: str) -> None:
+        if name in ACHIEVEMENTS:
+            self.unlocks.setdefault(name, self.step_count)
+
     def _set_status(self, **kwargs: int) -> None:
         self.status = replace(self.status, **kwargs)
 
     def locations(self) -> list[str]:
         """Location vocabulary for scene-graph initialization."""
-        return sorted(self.tables.terrain)
+        return sorted(self.tables.terrain_table)
 
 
 def _sign(v: int) -> int:
@@ -441,7 +430,7 @@ def _sign(v: int) -> int:
 
 
 def apply_effect(
-    obs: Observation, action: Action, success: bool, tables: EffectiveTables
+    obs: Observation, action: Action, success: bool, tables: WorldConfig
 ) -> Observation:
     """Public effect function: estimate the next observation from (obs,
     action, success bit) using only table knowledge.

@@ -346,6 +346,8 @@ def run_ablation(
     trial is independent and deterministic, so the table is the same."""
     if not limits:
         raise ValueError("limits must be non-empty")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if any(l < 1 for l in limits):
         raise ValueError("rule limits must be >= 1")
     if len(set(limits)) != len(limits):

@@ -254,12 +254,3 @@ def sg_update(sg: SceneGraph, obs: Observation) -> SceneGraph:
     kinds = {vis.type for vis in obs.visible_objects}
     kinds.add(here)
     return SceneGraph(sg.vertices | kinds, sg.edges + tuple(added), {**sg.status, here: EXPLORED})
-
-
-def sg_locate(sg: SceneGraph, item: str) -> list[str]:
-    """Locations recorded as containing the item, in insertion order."""
-    out: list[str] = []
-    for u, v, rel in sg.edges:
-        if rel == "contains" and v == item and u not in out:
-            out.append(u)
-    return out

@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 from .core import Action, Observation, Outcome, has_tool_at_least
 from .dsl import RuleAst, evaluate_all, format_shortfall
-from .env.config import EffectiveTables, MAKEABLE, PLACEABLE, WorldConfig
+from .env.config import MAKEABLE, PLACEABLE, WorldConfig
 from .env.world import apply_effect
 from .graphs import KnowledgeGraph, SceneGraph
 
@@ -32,7 +32,7 @@ class NaivePrior:
     """Default-table commonsense, blind to modifications and to context."""
 
     def __init__(self, config: WorldConfig):
-        self.tables: EffectiveTables = config.base_tables()
+        self.tables = config.base_tables()
 
     def predict(self, obs: Observation, action: Action) -> Outcome:
         if action.name == "mine":
@@ -89,10 +89,8 @@ class ExternalBackendPredictor:
 
 @dataclass(frozen=True)
 class MapExecuteResult:
+    predicted: Outcome  # the base prediction, corrected by the rules
     next_obs: Observation
-    feedback: str
-    suggestion: str
-    flag: bool
     activated: tuple[str, ...]
     failing: tuple[str, ...]
 
@@ -105,30 +103,21 @@ def map_execute(
     kg: KnowledgeGraph,
     sg: SceneGraph,
     *,
-    tables: EffectiveTables,
+    tables: WorldConfig,
 ) -> MapExecuteResult:
     """Check a base prediction against the rule set.
 
     If any rule activates, the joint rule verdict replaces the base success
     bit (failure dominates across rules); otherwise the base prediction
     stands.  The next-observation estimate comes from the shared effect
-    function applied to the final flag.
+    function applied to the corrected success bit.
     """
     joint = evaluate_all(rules, obs, action, kg, sg, tool_tiers=tables.tool_tiers)
-    if joint.any_activated:
-        flag = joint.flag
-        feedback = joint.feedback if not flag else (joint.feedback or base.feedback)
-        suggestion = joint.suggestion
+    if not joint.activated_ids:
+        predicted = base
+    elif joint.failing_ids:
+        predicted = Outcome(False, joint.feedback, joint.suggestion)
     else:
-        flag = base.success
-        feedback = base.feedback
-        suggestion = base.suggestion
-    next_obs = apply_effect(obs, action, flag, tables)
-    return MapExecuteResult(
-        next_obs=next_obs,
-        feedback=feedback,
-        suggestion=suggestion,
-        flag=flag,
-        activated=joint.activated_ids,
-        failing=joint.failing_ids,
-    )
+        predicted = Outcome(True, joint.feedback or base.feedback)
+    next_obs = apply_effect(obs, action, predicted.success, tables)
+    return MapExecuteResult(predicted, next_obs, joint.activated_ids, joint.failing_ids)

@@ -196,7 +196,8 @@ def test_criterion_6_rule_override_soundness():
         assert verdict.activated, rule.id
         result = map_execute([rule], obs, action, base, kg, SceneGraph(), tables=tables)
         total += 1
-        agreed += result.flag == verdict.flag == expected and result.flag != base.success
+        agreed += (result.predicted.success == verdict.flag == expected
+                   and result.predicted.success != base.success)
     report(6, f"{agreed}/{total} constructed contradictions resolved to the rule's verdict",
            agreed == total)
 

@@ -50,10 +50,11 @@ def _mpc(obs, rules, predictor, proposer, replan_limit=3):
 
 def test_first_proposal_accepted_with_replan_count_one():
     proposer = QueueProposer([Action("sleep", {})])
-    result = _mpc(make_obs(), RuleSet(), ScriptedPredictor(default=True), proposer)
-    assert result.replan_count == 1
-    assert result.action == Action("sleep", {})
-    assert result.predicted.success
+    steps = _mpc(make_obs(), RuleSet(), ScriptedPredictor(default=True), proposer)
+    assert len(steps) == 1
+    action, vetted = steps[-1]
+    assert action == Action("sleep", {})
+    assert vetted.predicted.success
 
 
 def test_replan_correction_pattern_missing_iron():
@@ -74,24 +75,24 @@ def test_replan_correction_pattern_missing_iron():
             return Action("make", {"tool_name": "iron_pickaxe"})
 
     config = make_config("default")
-    result = mpc_plan(obs, rules, ScriptedPredictor(default=True), CorrectingProposer(),
-                      kg, SceneGraph(), tables=config.base_tables())
-    assert result.replan_count == 2
-    assert result.action.name == "mine"
-    assert result.predicted.success
-    (first, vetoed), (second, accepted) = result.steps
+    steps = mpc_plan(obs, rules, ScriptedPredictor(default=True), CorrectingProposer(),
+                     kg, SceneGraph(), tables=config.base_tables())
+    assert len(steps) == 2
+    assert steps[-1][0].name == "mine"
+    assert steps[-1][1].predicted.success
+    (first, vetoed), (second, accepted) = steps
     assert first == Action("make", {"tool_name": "iron_pickaxe"})
-    assert not vetoed.flag and vetoed.failing == ("model",)
-    assert second == result.action and accepted.flag
+    assert not vetoed.predicted.success and vetoed.failing == ("model",)
+    assert second == steps[-1][0] and accepted.predicted.success
 
 
 def test_replan_limit_returns_last_candidate_flagged():
     rule = parse('RULE never FOR sleep: FAIL IF obs.position == "grass"')
     rules = RuleSet((RuleEntry(ast=rule, source="s"),))
     proposer = QueueProposer([Action("sleep", {})])
-    result = _mpc(make_obs(), rules, ScriptedPredictor(default=True), proposer)
-    assert result.replan_count == 3
-    assert not result.predicted.success
+    steps = _mpc(make_obs(), rules, ScriptedPredictor(default=True), proposer)
+    assert len(steps) == 3
+    assert not steps[-1][1].predicted.success
 
 
 def test_feedback_history_strictly_grows_within_one_call():
@@ -112,25 +113,23 @@ def test_mpc_requires_positive_replan_limit():
 # -- score ------------------------------------------------------------------------
 
 def test_score_all_zero():
-    assert score({"a": 0.0, "b": 0.0}).percent == 0.0
+    assert score({"a": 0.0, "b": 0.0}) == 0.0
 
 
 def test_score_all_one_is_100():
-    value = score({"a": 1.0, "b": 1.0, "c": 1.0})
-    assert value.percent == pytest.approx(100.0)
+    assert score({"a": 1.0, "b": 1.0, "c": 1.0}) == pytest.approx(100.0)
 
 
 def test_score_half_rates_golden():
     # Independent evaluation of the formula: exp(mean(ln(1 + 100 s))) - 1
     rates = {"a": 1.0, "b": 1.0, "c": 0.0, "d": 0.0}
     expected = math.exp((math.log(101.0) * 2 + 0.0 * 2) / 4) - 1
-    assert score(rates).percent == pytest.approx(expected)
-    assert round(score(rates).percent, 3) == round(expected, 3) == 9.05
+    assert score(rates) == pytest.approx(expected)
+    assert round(score(rates), 3) == round(expected, 3) == 9.05
 
 
 def test_score_empty_map_flagged_zero():
-    value = score({})
-    assert value.percent == 0.0 and not value.defined
+    assert score({}) == 0.0
 
 
 def test_score_rejects_out_of_range():
@@ -139,10 +138,10 @@ def test_score_rejects_out_of_range():
 
 
 def test_score_permutation_invariant_and_monotone():
-    a = score({"x": 0.2, "y": 0.9}).percent
-    b = score({"y": 0.9, "x": 0.2}).percent
+    a = score({"x": 0.2, "y": 0.9})
+    b = score({"y": 0.9, "x": 0.2})
     assert a == b
-    assert score({"x": 0.3, "y": 0.9}).percent > a
+    assert score({"x": 0.3, "y": 0.9}) > a
 
 
 # -- episodes ----------------------------------------------------------------------

@@ -339,11 +339,25 @@ def test_ablate_limit_worker_pool_writes_identical_table(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_ablate_limit_zero_rejected(tmp_path):
-    for limits in ("0", "3,3"):  # a limit below 1, a repeated limit
+def test_ablate_limit_zero_rejected(tmp_path, capsys):
+    # a limit below 1, a repeated limit, a limit that is not an integer
+    for limits in ("0", "3,3", "3,a"):
         out = tmp_path / limits
         assert run_cli(["ablate-limit", *FAST, "--limits", limits, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "limits" in err
+        if limits == "3,a":
+            assert "--limits" in err and "'a'" in err
         assert not out.exists()
+
+
+def test_run_ablation_rejects_fewer_than_one_iteration():
+    from worldalign.env import make_config
+    from worldalign.experiments import run_ablation
+
+    for iterations in (0, -2):
+        with pytest.raises(ValueError, match=rf"iterations must be >= 1, got {iterations}"):
+            run_ablation(make_config("default"), [3], [1], iterations)
 
 
 def _write_pair(tmp_path, actions):

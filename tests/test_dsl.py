@@ -542,7 +542,7 @@ def test_failure_dominates_in_joint_verdict():
     joint = evaluate_all([fail_rule, pass_rule], make_obs(),
                          Action("make", {"tool_name": "wood_pickaxe"}),
                          KnowledgeGraph.empty(), SceneGraph())
-    assert joint.any_activated and not joint.flag
+    assert joint.activated_ids and joint.failing_ids
     assert joint.failing_ids == ("b_fail",)
     assert joint.feedback == "bad spot"
 

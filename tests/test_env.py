@@ -63,7 +63,7 @@ def test_reset_terrain_matches_per_cell_draws(config_id):
     same state."""
     for seed in (0, 1, 7, 23):
         world = MarsWorld(make_config(config_id, seed=seed))
-        size, terrain = world.config.grid_size, world.tables.terrain
+        size, terrain = world.config.grid_size, world.tables.terrain_table
         names = sorted(terrain)
         weights = [terrain[n] for n in names]
         rng = random.Random(f"{seed}:worldgen")
@@ -204,6 +204,45 @@ def test_a_config_round_trips_through_json_text(config):
     assert from_json(WorldConfig, json.loads(text)) == config
 
 
+_TABLES = ("terrain_table", "recipes", "mining", "tool_tiers", "survival")
+
+
+def _reference_effective(config: WorldConfig) -> dict:
+    """The five tables with every modification applied in order, merged the
+    way a separate tables record once was."""
+    terrain = dict(config.terrain_table)
+    recipes = dict(config.recipes)
+    mining = dict(config.mining)
+    survival = dict(config.survival)
+    for mod in config.modifications:
+        terrain.update(mod.terrain_table)
+        recipes.update(mod.recipes)
+        mining.update(mod.mining)
+        for name in mod.removed_mining:
+            mining.pop(name, None)
+        survival.update(mod.survival)
+    return dict(zip(_TABLES, (terrain, recipes, mining, tuple(config.tool_tiers), survival)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(config=world_configs() | st.sampled_from(CONFIG_IDS).map(make_config))
+def test_effective_config_is_the_merged_tables_and_nothing_else(config):
+    e = config.effective()
+    reference = _reference_effective(config)
+    for name in _TABLES:
+        assert getattr(e, name) == reference[name], name
+    assert e.modifications == ()
+    for f in dataclasses.fields(WorldConfig):
+        if f.name not in (*_TABLES, "modifications"):
+            assert getattr(e, f.name) == getattr(config, f.name), f.name
+    assert e.effective() is e
+    assert e.hostiles() == config.hostiles() == sorted(
+        name for name, traits in reference["survival"].items() if traits.hostile)
+    base = config.base_tables()
+    assert base.modifications == ()
+    assert base == dataclasses.replace(config, modifications=())
+
+
 @pytest.mark.parametrize("config_id", CONFIG_IDS)
 def test_reset_lays_out_the_smallest_grid_and_one_less_is_rejected(config_id, tmp_path):
     for seed in range(4):
@@ -212,7 +251,7 @@ def test_reset_lays_out_the_smallest_grid_and_one_less_is_rejected(config_id, tm
         placed = sum(row.count(block) for row in world.grid for block, _ in FORCED_BLOCKS)
         assert placed >= sum(count for _, count in FORCED_BLOCKS)
     # One less is too small for `reset`, which is why load rejects it.
-    too_small = make_config(config_id)
+    too_small = make_config(config_id).effective()
     object.__setattr__(too_small, "grid_size", MIN_GRID_SIZE - 1)
     with pytest.raises(IndexError):
         MarsWorld(too_small)
@@ -253,7 +292,7 @@ def test_place_table_consumes_wood_and_unlocks():
     _, reward, _, outcome = world.step(Action("place", {"block_name": "table"}))
     assert outcome.success
     assert world.inventory.get("wood", 0) == 1
-    assert "place_table" in world.ledger.unlocks
+    assert "place_table" in world.unlocks
     assert reward >= 1.0
 
 
@@ -285,7 +324,7 @@ def test_sleep_restores_energy_and_unlocks_wake_up():
     _, _, _, outcome = world.step(Action("sleep", {}))
     assert outcome.success
     assert world.status.energy == 9
-    assert "wake_up" in world.ledger.unlocks
+    assert "wake_up" in world.unlocks
 
 
 def test_explore_reports_blocked_but_succeeds():
@@ -362,7 +401,7 @@ def _expected_rule_count(config: WorldConfig) -> int:
     contextual = 3 + (1 if tables.hostiles() else 0)  # mine/attack/place + sleep
     recipe_rules = 2  # make + place requirement checks
     tier_rules = sum(1 for rule in tables.mining.values() if rule.tool is not None)
-    ban_rules = len(set(tables.terrain) - set(tables.mining)) + 2  # + table, furnace
+    ban_rules = len(set(tables.terrain_table) - set(tables.mining)) + 2  # + table, furnace
     return contextual + recipe_rules + tier_rules + ban_rules
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from worldalign.core import Action, Outcome, Transition
+from worldalign.dsl import evaluate, parse
 from worldalign.env import make_config
 from worldalign.env.oracle import kg_edges_for_config
 from worldalign import graphs
@@ -18,7 +19,6 @@ from worldalign.graphs import (
     SceneGraph,
     kg_induce,
     kg_merge,
-    sg_locate,
     sg_update,
 )
 
@@ -237,7 +237,7 @@ def test_sg_update_adds_position_and_visible_objects():
     assert updated.status["grass"] == EXPLORED
     assert ("grass", "table", "contains") in updated.edges
     assert ("grass", "water", "adjacent") in updated.edges
-    assert sg_locate(updated, "table") == ["grass"]
+    assert [u for u, v, rel in updated.edges if (v, rel) == ("table", "contains")] == ["grass"]
 
 
 def test_sg_update_is_idempotent():
@@ -362,8 +362,16 @@ def test_locate_insertion_order_and_unknown_item():
     sg = SceneGraph.initial(["grass", "sand"])
     sg = sg_update(sg, make_obs(position="grass", visible=(("cow", 2, 0),)))
     sg = sg_update(sg, make_obs(position="sand", in_front="sand", visible=(("cow", 1, 1),)))
-    assert sg_locate(sg, "cow") == ["grass", "sand"]
-    assert sg_locate(sg, "dragon") == []
+    assert [u for u, v, rel in sg.edges if (v, rel) == ("cow", "contains")] == ["grass", "sand"]
+
+    def contains(location, item):
+        rule = parse(f'RULE c FOR sleep: FAIL IF sg_contains("{location}", "{item}")')
+        verdict = evaluate(rule, make_obs(), Action("sleep", {}), KnowledgeGraph.empty(), sg)
+        assert verdict.activated
+        return not verdict.flag
+
+    assert contains("grass", "cow") and contains("sand", "cow")
+    assert not contains("grass", "dragon") and not contains("sand", "dragon")
 
 
 def test_sg_json_round_trip():

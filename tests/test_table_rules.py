@@ -94,9 +94,9 @@ def _record(template, config, prior, rules, kg, action, inventory):
         },
         "prior": base.to_json(),
         "model": {
-            "flag": result.flag,
-            "feedback": result.feedback,
-            "suggestion": result.suggestion,
+            "flag": result.predicted.success,
+            "feedback": result.predicted.feedback,
+            "suggestion": result.predicted.suggestion,
             "activated": list(result.activated),
             "failing": list(result.failing),
             "next_obs": result.next_obs.to_json(),

@@ -1,12 +1,17 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from worldalign.core import Action, Outcome
-from worldalign.dsl import parse
-from worldalign.env import make_config
+from worldalign.dsl import ParseError, evaluate_all, parse
+from worldalign.env import CONFIG_IDS, make_config, rules_for_config
 from worldalign.env.config import Modification, Recipe
 from worldalign.env.world import MarsWorld, apply_effect
 from worldalign.graphs import KnowledgeGraph, SceneGraph, kg_merge
 from worldalign.env.oracle import kg_edges_for_config
+from worldalign.experiments import run_probe
+from worldalign.proposers import NoisyOracleProposer
 from worldalign.world_model import (
     BackendUnavailable,
     ExternalBackendPredictor,
@@ -107,8 +112,8 @@ def test_rule_overrides_optimistic_base():
     result = map_execute([NEAR_TABLE], obs, Action("make", {"tool_name": "wood_pickaxe"}),
                          Outcome(True, "sure"), KnowledgeGraph.empty(), SceneGraph(),
                          tables=_tables())
-    assert not result.flag
-    assert "Move closer" in result.suggestion
+    assert not result.predicted.success
+    assert "Move closer" in result.predicted.suggestion
     assert result.failing == ("near_table",)
 
 
@@ -117,9 +122,9 @@ def test_no_activation_passes_base_through():
     base = Outcome(False, "prior says no", "prior hint")
     result = map_execute([NEAR_TABLE], obs, Action("sleep", {}), base,
                          KnowledgeGraph.empty(), SceneGraph(), tables=_tables())
-    assert result.flag is False
-    assert result.feedback == "prior says no"
-    assert result.suggestion == "prior hint"
+    assert result.predicted.success is False
+    assert result.predicted.feedback == "prior says no"
+    assert result.predicted.suggestion == "prior hint"
 
 
 def test_rule_overrides_pessimistic_base():
@@ -128,7 +133,7 @@ def test_rule_overrides_pessimistic_base():
     result = map_execute([MODEL], obs, Action("make", {"tool_name": "wood_pickaxe"}),
                          Outcome(False, "prior doubts it"), kg, SceneGraph(),
                          tables=_tables())
-    assert result.flag is True
+    assert result.predicted.success is True
 
 
 def test_failure_dominates_between_two_activated_rules():
@@ -137,8 +142,59 @@ def test_failure_dominates_between_two_activated_rules():
                          Action("make", {"tool_name": "wood_pickaxe"}),
                          Outcome(True, "sure"), KnowledgeGraph.empty(), SceneGraph(),
                          tables=_tables())
-    assert not result.flag
+    assert not result.predicted.success
     assert result.failing == ("near_table",)
+
+
+def _reference_map_execute(rules, obs, action, base, kg, sg, tables):
+    """(flag, feedback, suggestion) as `map_execute` once built them: an
+    activated rule set's joint verdict replaces the base bit, and a passing
+    one keeps the base feedback when it has none."""
+    joint = evaluate_all(rules, obs, action, kg, sg, tool_tiers=tables.tool_tiers)
+    if joint.activated_ids:
+        flag = not joint.failing_ids
+        feedback = joint.feedback if not flag else (joint.feedback or base.feedback)
+        return flag, feedback, joint.suggestion
+    return base.success, base.feedback, base.suggestion
+
+
+@functools.lru_cache(maxsize=None)
+def _vetting_case(config_id):
+    """A probe's transitions on `config_id`, the oracle's rules plus a noisy
+    proposer's (inverted ones included), the oracle KG and a fresh scene
+    graph."""
+    config = make_config(config_id, seed=4)
+    real, _ = run_probe(config, NaivePrior(config), 60)
+    rules = {}
+    noisy = NoisyOracleProposer(config, corruption=0.6, seed=1)
+    for text in rules_for_config(config) + noisy.propose_rules(real.transitions, []):
+        try:
+            rule = parse(text)
+        except ParseError:
+            continue
+        rules.setdefault(rule.id, rule)
+    kg = kg_merge(KnowledgeGraph.empty(), kg_edges_for_config(config))
+    sg = SceneGraph.initial(MarsWorld(config).locations())
+    return config, real.transitions, tuple(rules.values()), kg, sg
+
+
+@settings(deadline=None, max_examples=150)
+@given(config_id=st.sampled_from(CONFIG_IDS), data=st.data())
+def test_map_execute_prediction_matches_the_flag_feedback_suggestion_reference(config_id, data):
+    config, transitions, rules, kg, sg = _vetting_case(config_id)
+    t = data.draw(st.sampled_from(transitions))
+    chosen = data.draw(st.lists(st.sampled_from(rules), unique=True))
+    base = data.draw(st.sampled_from([
+        NaivePrior(config).predict(t.obs, t.action),
+        Outcome(True, "base says yes"),
+        Outcome(False, "base says no", "base hint"),
+    ]))
+    tables = config.base_tables()
+    result = map_execute(chosen, t.obs, t.action, base, kg, sg, tables=tables)
+    flag, feedback, suggestion = _reference_map_execute(
+        chosen, t.obs, t.action, base, kg, sg, tables)
+    assert result.predicted == Outcome(flag, feedback, suggestion)
+    assert result.next_obs == apply_effect(t.obs, t.action, flag, tables)
 
 
 def test_next_obs_estimate_uses_shared_effect_function():
@@ -210,7 +266,6 @@ def test_oracle_rules_make_rule_scope_predictions_exact():
     # some rule asserts a bit is predicted with 100% accuracy.
     from worldalign.dsl import parse
     from worldalign.env.oracle import kg_edges_for_config, rules_for_config
-    from worldalign.experiments import run_probe
     from test_learner import _reference_asserted_bit
     from worldalign.dsl import evaluate
 
@@ -231,6 +286,6 @@ def test_oracle_rules_make_rule_scope_predictions_exact():
         in_scope += 1
         result = map_execute(rules, t.obs, t.action, Outcome(not t.outcome.success, "wrong"),
                              kg, SceneGraph(), tables=tables)
-        checked += result.flag == t.outcome.success
+        checked += result.predicted.success == t.outcome.success
     assert in_scope > 0
     assert checked == in_scope
