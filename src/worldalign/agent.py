@@ -184,9 +184,8 @@ class ScriptedPlanner:
         return self._handle_veto(obs, kg, feedback[-1], suggestions[-1])
 
     def observe_result(self, action: Action, outcome: Outcome, next_obs: Observation) -> None:
-        key = self._key(action)
-        if self._last_desired is not None and key == self._key(self._last_desired):
-            self._diverted.pop(key, None)
+        if self._diverted and action == self._last_desired:
+            self._diverted.pop(self._key(action), None)
         if not outcome.success and "within reach" in outcome.feedback:
             target = self._action_target(action)
             if target is not None:

@@ -135,6 +135,7 @@ class RuleAst(Memoised):
     suggestion_template: str = ""
     _hash = None  # memo of __hash__()
     _anonymous = None  # memo of anonymous()
+    _uses_graphs = None  # memo of uses_graphs(self)
 
     def __hash__(self) -> int:
         """The dataclass hash of the field tuple, computed once per instance."""
@@ -169,8 +170,13 @@ def _reads_graphs(expr: Expr) -> bool:
 def uses_graphs(rule: RuleAst) -> bool:
     """True when the rule's condition reads the knowledge or scene graph
     (``kg_requires``, ``sg_contains`` or ``sg_unexplored``), so its verdicts
-    can change when a graph changes while the transition stays the same."""
-    return _reads_graphs(rule.condition)
+    can change when a graph changes while the transition stays the same.
+    Computed once per rule."""
+    reads = rule._uses_graphs
+    if reads is None:
+        reads = _reads_graphs(rule.condition)
+        object.__setattr__(rule, "_uses_graphs", reads)
+    return reads
 
 
 def _quote(text: str) -> str:

@@ -212,6 +212,9 @@ class JointVerdict:
     suggestion: str
 
 
+_DORMANT = JointVerdict((), (), "", "")  # the verdict when no rule's guard matches
+
+
 def evaluate_all(
     rules: Sequence[RuleAst],
     obs: Observation,
@@ -222,14 +225,15 @@ def evaluate_all(
     tool_tiers: Sequence[str] = DEFAULT_TOOL_TIERS,
 ) -> JointVerdict:
     # Only guard-matched rules can activate; the rest would answer dormant.
-    ordered = sorted(
-        (r for r in rules if r.action_guard == action.name), key=lambda r: r.id
-    )
+    matched = [r for r in rules if r.action_guard == action.name]
+    if not matched:
+        return _DORMANT
+    matched.sort(key=lambda r: r.id)
     activated: list[str] = []
     failing: list[str] = []
     feedback: list[str] = []
     suggestion: list[str] = []
-    for rule in ordered:
+    for rule in matched:
         verdict = evaluate(rule, obs, action, kg, sg, tool_tiers=tool_tiers)
         if not verdict.activated:
             continue

@@ -437,9 +437,12 @@ def apply_effect(
 
     Failed actions leave the observation unchanged (autonomous drift such as
     need decay is not modelled here).  This is the same derivation the
-    environment applies to inventory and status, minus grid knowledge.
+    environment applies to inventory and status, minus grid knowledge.  The
+    estimate is `obs` itself when the action failed, or when it is an
+    `explore` and no inventory count is zero; any other estimate is a new
+    observation, whose inventory drops zero counts.
     """
-    if not success:
+    if not success or (action.name == "explore" and all(obs.inventory.values())):
         return obs
     inventory = dict(obs.inventory)
     status = obs.status

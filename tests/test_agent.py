@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from worldalign.core import Action, Trajectory, Transition
 from worldalign.dsl import parse
 from worldalign.env import CONFIG_IDS, MarsWorld, make_config
 from worldalign.env.world import DIR_DELTAS, WALKABLE, apply_effect
-from worldalign.experiments import ProbePolicy, run_probe
+from worldalign.experiments import ProbePolicy, episode_seed, run_probe, standard_components
 from worldalign.graphs import KnowledgeGraph, SceneGraph, KgEdge, kg_merge
 from worldalign.learner import LearnerConfig, LearnerState, RuleEntry, RuleSet
 from worldalign.proposers import OracleProposer
@@ -307,6 +308,38 @@ def test_memoised_view_map_proposes_like_a_fresh_one(config_id, seed, vetoes):
         obs = next_obs
         if done:
             break
+
+
+class _DivertCheckedPlanner(ScriptedPlanner):
+    """A planner that checks each `observe_result` against the diversion
+    bookkeeping it replaced: pop the action's `_key` when it equals the
+    last desired action's `_key`."""
+
+    pops = 0
+
+    def observe_result(self, action, outcome, next_obs):
+        expected = dict(self._diverted)
+        key = self._key(action)
+        if self._last_desired is not None and key == self._key(self._last_desired):
+            expected.pop(key, None)
+        self.pops += len(expected) < len(self._diverted)
+        super().observe_result(action, outcome, next_obs)
+        assert self._diverted == expected
+
+
+@pytest.mark.parametrize("proposer_kind", ["oracle", "noisy"])
+def test_observe_result_ends_diversions_like_the_key_comparison(proposer_kind):
+    pops = 0
+    for config_id in CONFIG_IDS:
+        config = make_config(config_id, seed=3)
+        build = standard_components(rule_proposer_kind=proposer_kind, limit=3)
+        state = LearnerState()
+        for iteration in range(2):
+            components = build(config)
+            planner = components.planner = _DivertCheckedPlanner(config)
+            run_episode(replace(config, seed=episode_seed(3, iteration)), state, components)
+            pops += planner.pops
+    assert pops > 0  # some step ends a diversion
 
 
 _window_cells = st.tuples(st.integers(-4, 4), st.integers(-3, 3))

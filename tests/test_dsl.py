@@ -202,6 +202,28 @@ def test_rule_hash_and_anonymous_twin_are_memoised_outside_equality_repr_and_pic
         assert copied._hash is None and copied._anonymous is None
 
 
+def _reference_uses_graphs(expr):
+    """The graph-atom walk that `uses_graphs` memoises, copied."""
+    if isinstance(expr, (And, Or)):
+        return any(_reference_uses_graphs(p) for p in expr.parts)
+    if isinstance(expr, Not):
+        return _reference_uses_graphs(expr.expr)
+    return isinstance(expr, (KgSatisfied, SgContains, SgUnexplored))
+
+
+@given(rule_asts)
+def test_uses_graphs_is_memoised_outside_equality_repr_and_pickling(rule):
+    fresh = replace(rule)
+    pickled, shown = pickle.dumps(fresh), repr(fresh)
+    reads = uses_graphs(rule)
+    assert reads is _reference_uses_graphs(rule.condition)
+    assert rule._uses_graphs is reads and uses_graphs(rule) is reads  # kept
+    assert (pickle.dumps(rule), repr(rule), rule) == (pickled, shown, fresh)
+    for copied in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+        assert copied == rule and copied._uses_graphs is None
+        assert uses_graphs(copied) is reads
+
+
 def test_corpus_round_trips():
     for rule in parse_many(CORPUS.read_text()):
         assert parse(pretty_print(rule)) == rule
