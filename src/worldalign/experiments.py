@@ -242,12 +242,6 @@ class TrialResult:
     episodes: list[EpisodeResult]
     state: LearnerState
 
-    def final_metrics(self) -> dict:
-        return self.episodes[-1].metrics if self.episodes else {}
-
-    def any_task_complete(self) -> bool:
-        return any(e.metrics["task_complete"] for e in self.episodes)
-
 
 def run_learning_trial(
     base_config: WorldConfig,
@@ -282,19 +276,6 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
-@dataclass(frozen=True)
-class AblationArm:
-    name: str
-    limit: int
-    prune: bool
-
-
-def ablation_arms(limits: Sequence[int]) -> list[AblationArm]:
-    arms = [AblationArm(f"l={l}", l, True) for l in limits]
-    arms.append(AblationArm("no_pruning", 10_000, False))
-    return arms
-
-
 def run_trials(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
     """`fn(*args)` for each args tuple, results in submission order.
 
@@ -312,7 +293,7 @@ def run_trials(fn: Callable, calls: Sequence[tuple], workers: int) -> list:
 
 def _ablation_trial(
     base_config: WorldConfig,
-    arm: AblationArm,
+    arm: LearnerConfig,
     trial_seed: int,
     iterations: int,
     noise: float,
@@ -325,7 +306,7 @@ def _ablation_trial(
         prune=arm.prune, replan_limit=replan_limit, proposer_seed=trial_seed,
     )
     trial = run_learning_trial(base_config, trial_seed, iterations, build, target=None)
-    metrics = trial.final_metrics()
+    metrics = trial.episodes[-1].metrics
     return metrics["reward"], metrics["score"]
 
 
@@ -352,21 +333,22 @@ def run_ablation(
         raise ValueError("rule limits must be >= 1")
     if len(set(limits)) != len(limits):
         raise ValueError(f"rule limits must not repeat: {list(limits)}")
-    arms = ablation_arms(limits)
+    arms = {f"l={l}": LearnerConfig(limit=l) for l in limits}
+    arms["no_pruning"] = LearnerConfig(limit=10_000, prune=False)
     calls = [
         (base_config, arm, seed, iterations, noise, replan_limit)
-        for arm in arms
+        for arm in arms.values()
         for seed in seeds
     ]
     results = run_trials(_ablation_trial, calls, workers)
     table: dict[str, dict] = {}
-    for a, arm in enumerate(arms):
+    for a, (name, arm) in enumerate(arms.items()):
         arm_results = results[a * len(seeds) : (a + 1) * len(seeds)]
         rewards = [reward for reward, _ in arm_results]
         scores = [score for _, score in arm_results]
         reward_mean, reward_std = mean_std(rewards)
         score_mean, score_std = mean_std(scores)
-        table[arm.name] = {
+        table[name] = {
             "limit": arm.limit if arm.prune else None,
             "prune": arm.prune,
             "reward_mean": round(reward_mean, 6),
@@ -400,12 +382,12 @@ def run_misalignment(
             base_config, trial_seed, iterations,
             standard_components(rule_proposer_kind="none"),
         )
-        if bare.any_task_complete():
+        if any(e.metrics["task_complete"] for e in bare.episodes):
             no_rules += 1
         learned = run_learning_trial(
             base_config, trial_seed, iterations,
             standard_components(rule_proposer_kind="oracle"),
         )
-        if learned.any_task_complete():
+        if any(e.metrics["task_complete"] for e in learned.episodes):
             with_rules += 1
     return MisalignmentOutcome(no_rules, with_rules, len(seeds))

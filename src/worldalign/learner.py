@@ -106,74 +106,6 @@ class LearnerConfig:
     prune: bool = True  # False = ablation arm: skip validity drop and pruning
 
 
-@dataclass
-class ValidityWatermark:
-    """What the last validity check and coverage matrix already proved, so
-    the next ones compute only new work.
-
-    `upto[ast]` is the number of leading history transitions the rule is
-    known to assert no wrong bit on.  `rows[ast]` is the rule's coverage
-    row over the leading mispredictions.  The key is the whole AST, so a
-    rule id reused for another text misses.  Both hold only for the graphs
-    and tool tiers they were computed under and for the history and
-    misprediction list they were computed on; `refresh` forgets whatever
-    the current inputs no longer vouch for.  `ids` holds the leading
-    mispredictions' digests, which depend on that list alone.
-    """
-
-    upto: dict[RuleAst, int] = field(default_factory=dict)
-    rows: dict[RuleAst, tuple[bool, ...]] = field(default_factory=dict)
-    ids: tuple[str, ...] = ()
-    graphs: tuple[KnowledgeGraph, SceneGraph] | None = None
-    tool_tiers: tuple[str, ...] | None = None
-    checked: int = 0  # history length at the last check
-    last: Transition | None = None  # history[checked - 1] at the last check
-    seen: int = 0  # misprediction count at the last check
-    last_seen: tuple[Transition, Outcome] | None = None  # mispredictions[seen - 1]
-
-    def refresh(
-        self,
-        history: Sequence[Transition],
-        kg: KnowledgeGraph,
-        sg: SceneGraph,
-        tool_tiers: Sequence[str],
-        mispredictions: Sequence[tuple[Transition, Outcome]],
-    ) -> dict[RuleAst, int]:
-        """Drop the entries the inputs invalidate and return `upto`.
-
-        Every entry goes when the tool tiers change or the history is not
-        an extension of the one last checked (its last checked transition is
-        no longer in place); only the graph-reading rules' entries go when
-        the graphs' content changed.  Every row, and `ids`, also go when
-        the misprediction list is not an extension of the one last seen (its
-        last seen pair is no longer in place).  Graphs are compared by
-        value; an unchanged graph is the same instance, which compares
-        at once.
-        """
-        tool_tiers = tuple(tool_tiers)
-        if not _extends(history, self.checked, self.last) or tool_tiers != self.tool_tiers:
-            self.upto.clear()
-            self.rows.clear()
-        elif (kg, sg) != self.graphs:
-            for known in (self.upto, self.rows):
-                for ast in [a for a in known if uses_graphs(a)]:
-                    del known[ast]
-        if not _extends(mispredictions, self.seen, self.last_seen):
-            self.rows.clear()
-            self.ids = ()
-        self.graphs = (kg, sg)
-        self.tool_tiers = tool_tiers
-        self.checked = len(history)
-        self.last = history[-1] if history else None
-        self.seen = len(mispredictions)
-        self.last_seen = mispredictions[-1] if mispredictions else None
-        return self.upto
-
-    def keep_only(self, entries: Sequence["RuleEntry"]) -> None:
-        self.upto = {e.ast: self.upto[e.ast] for e in entries if e.ast in self.upto}
-        self.rows = {e.ast: self.rows[e.ast] for e in entries if e.ast in self.rows}
-
-
 def _extends(items: Sequence, n: int, last) -> bool:
     """Whether `items` still holds, at index n - 1, the item last seen there."""
     return len(items) >= n and (n == 0 or items[n - 1] is last)
@@ -215,21 +147,48 @@ class LearnerState(Memoised):
     iteration: int = 0
     last_trace: tuple[SelectionStep, ...] = ()
     coverage: CoverageMatrix = field(default_factory=CoverageMatrix)  # kept rules' rows
-    validity: ValidityWatermark = field(default_factory=ValidityWatermark)
-    _keys = None  # memo of misprediction_keys(): the set, and _extends's count and last pair
+    _progress = None  # memo of what the last ns_learning call left: a Progress
 
-    def misprediction_keys(self) -> set[str]:
-        """The transition digest of every stored misprediction, kept: a call
-        keys only the pairs appended since, or all when the list no longer
-        extends the one covered.  A caller that appends a pair may add its
-        key."""
-        items = self.mispredictions
-        keys, n, last = self._keys or (set(), 0, None)
-        if not _extends(items, n, last):
-            keys, n = set(), 0
-        keys.update(t.digest() for t, _ in items[n:])
-        self._keys = (keys, len(items), items[-1] if items else None)
-        return keys
+
+@dataclass(eq=False)
+class Progress:
+    """What a learning call left, trusted by the next call only while the
+    state still holds it: each rule of `rules` (the same object) was valid
+    on the first `checked` history transitions under `graphs` and
+    `tool_tiers`; its row in `coverage` (the same object) covers the first
+    `seen` mispredictions, whose digests are `keys`.  `last` and `last_seen`
+    were the history's and the list's items at `checked - 1` and `seen - 1`."""
+
+    rules: RuleSet
+    coverage: CoverageMatrix
+    graphs: tuple[KnowledgeGraph, SceneGraph]
+    tool_tiers: tuple[str, ...]
+    checked: int
+    last: Transition | None
+    seen: int
+    last_seen: tuple[Transition, Outcome] | None
+    keys: set[str]
+
+    def prior(self, state: LearnerState, seen: int, tool_tiers: tuple[str, ...]) -> tuple:
+        """The watermark, rows and transition ids `state` still vouches for;
+        none once its rules or coverage were replaced.  `seen` is 0 when the
+        misprediction list no longer extends, which drops every row and id.
+        Every watermark entry and row goes when the history no longer
+        extends or the tiers changed; only the graph-reading rules' go when
+        the graphs changed (compared by value: an unchanged graph is the
+        same instance).  A rule kept without pruning has no row, so no
+        progress."""
+        if self.rules is not state.rules or self.coverage is not state.coverage:
+            return {}, {}, ()
+        ids = state.coverage.transition_ids if seen else ()
+        if tool_tiers != self.tool_tiers or not _extends(state.history, self.checked, self.last):
+            return {}, {}, ids
+        same_graphs = (state.kg, state.sg) == self.graphs
+        fresh = [
+            (e.ast, row) for e, row in zip(state.rules.entries, state.coverage.a)
+            if same_graphs or not uses_graphs(e.ast)
+        ]
+        return {ast: self.checked for ast, _ in fresh}, dict(fresh) if seen else {}, ids
 
 
 @dataclass(frozen=True)
@@ -320,10 +279,11 @@ def build_matrix(
 ) -> CoverageMatrix:
     """Each entry's coverage row over the mispredictions, in order.
 
-    `rows` maps a rule's AST to its row over the leading mispredictions;
-    only the cells past it are evaluated.  The map is updated in place with
-    every entry's full row.  An empty or absent map builds from scratch.
-    Only the mispredictions past `ids`, the leading ones' digests, are digested.
+    `rows` maps a rule's AST to its row over the leading mispredictions,
+    and `ids` holds those mispredictions' digests; only the cells and
+    digests past them are computed.  `ns_learning` builds both per call from
+    the kept rules' rows in `state.coverage`.  The map is updated in place
+    with every entry's full row.  An empty or absent map builds from scratch.
     """
     if rows is None:
         rows = {}
@@ -410,9 +370,10 @@ def drop_invalid(
     without evaluating it.
 
     `watermark` maps a rule's AST to the number of leading transitions it is
-    already known to be valid on; only the rest are scanned.  The map is
-    updated in place: a kept rule's entry advances to the full length and a
-    dropped rule's entry goes.  An empty or absent map checks from scratch.
+    already known to be valid on; only the rest are scanned.  `ns_learning`
+    builds it per call from the kept rules.  The map is updated in place: a
+    kept rule's entry advances to the full length and a dropped rule's entry
+    goes.  An empty or absent map checks from scratch.
     """
     if watermark is None:
         watermark = {}
@@ -481,13 +442,19 @@ def ns_learning(
     `state.coverage`.  Graph updates land in the state even if the proposer
     fails midway.
 
-    Validation and coverage are incremental: `state.validity` remembers how
-    far each surviving rule was already checked and its coverage row, so a
-    call evaluates new rules on the whole history and every misprediction,
-    and old rules on the new transitions and mispredictions only (all of
-    them again for graph-reading rules once the graphs changed).
+    Validation and coverage are incremental.  What the last call left,
+    the kept rules and their rows in `state.coverage`, is trusted as far as
+    its `Progress` memo vouches, so a call evaluates new rules on the whole
+    history and every misprediction, and kept rules on the new transitions
+    and mispredictions only (all of them again for graph-reading rules once
+    the graphs changed).  The memo also holds the stored mispredictions'
+    digests, so only new pairs are digested.  A state without the memo, as
+    unpickled, continues from scratch to the same result.
     """
-    known = state.misprediction_keys()
+    memo = state._progress
+    seen = memo.seen if memo and _extends(state.mispredictions, memo.seen, memo.last_seen) else 0
+    known = memo.keys if seen else set()
+    known.update(t.digest() for t, _ in state.mispredictions[seen:])
     for pair in classify_transitions(real, pred):
         key = pair[0].digest()
         if key not in known:
@@ -509,24 +476,21 @@ def ns_learning(
 
     state.history.extend(real.transitions)
     pool = RuleSet(tuple(entries))
+    tool_tiers = tuple(tool_tiers)
 
     if config.prune:
-        watermark = state.validity.refresh(
-            state.history, state.kg, state.sg, tool_tiers, state.mispredictions
-        )
+        upto, rows, ids = memo.prior(state, seen, tool_tiers) if memo else ({}, {}, ())
         pool = drop_invalid(
             pool, state.history, state.kg, state.sg,
-            tool_tiers=tool_tiers, watermark=watermark,
+            tool_tiers=tool_tiers, watermark=upto,
         )
         matrix = build_matrix(
             pool.entries, state.mispredictions, state.kg, state.sg,
-            tool_tiers=tool_tiers, rows=state.validity.rows, ids=state.validity.ids,
+            tool_tiers=tool_tiers, rows=rows, ids=ids,
         )
-        state.validity.ids = matrix.transition_ids
         kept, state.last_trace, state.coverage = select_rules(
             pool.entries, matrix, config.limit
         )
-        state.validity.keep_only(kept)
         pool = RuleSet(kept)
     else:
         state.last_trace = ()
@@ -534,4 +498,10 @@ def ns_learning(
 
     state.rules = pool
     state.iteration += 1
+    state._progress = Progress(
+        pool, state.coverage, (state.kg, state.sg), tool_tiers,
+        len(state.history), state.history[-1] if state.history else None,
+        len(state.mispredictions), state.mispredictions[-1] if state.mispredictions else None,
+        known,
+    )
     return pool

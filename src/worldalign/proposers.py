@@ -40,7 +40,10 @@ class OracleProposer:
     """
 
     def __init__(self, config: WorldConfig):
-        self._rules = rules_for_config(config)
+        # each rule text with the action it guards, "RULE id FOR <action>: ..."
+        self._rules = [
+            (text, text.split(" FOR ")[1].split(":")[0]) for text in rules_for_config(config)
+        ]
         self._edges = kg_edges_for_config(config)
 
     def propose_rules(
@@ -49,8 +52,7 @@ class OracleProposer:
         failed_actions = {t.action.name for t in window if not t.outcome.success}
         if not failed_actions:
             return []
-        guards = {text: text.split(" FOR ")[1].split(":")[0] for text in self._rules}
-        return [text for text in self._rules if guards[text] in failed_actions]
+        return [text for text, guard in self._rules if guard in failed_actions]
 
     def propose_kg_edges(self, window: Sequence[Transition]) -> list[KgEdge]:
         return self._edges

@@ -419,7 +419,7 @@ def test_solvability_scripted_policy_completes_chain_within_budget():
             make_config(config_id), 1, 3, standard_components(rule_proposer_kind="oracle")
         )
         steps = [e.metrics["steps"] for e in trial.episodes if e.metrics["task_complete"]]
-        assert trial.any_task_complete(), config_id
+        assert steps, config_id
         assert min(steps) <= 400
 
 
